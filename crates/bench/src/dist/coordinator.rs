@@ -63,7 +63,9 @@ use ftes_model::Cost;
 use ftes_opt::CoreBudget;
 
 use super::journal::Journal;
-use super::protocol::{checksum, matrix_fingerprint, Frame, FrameReader, RecvError, PROTO_VERSION};
+use super::protocol::{
+    checksum, matrix_fingerprint, wake_listener, Frame, FrameReader, RecvError, PROTO_VERSION,
+};
 use super::{DistConfig, DistStats};
 use crate::matrix::{cell_json, run_cell_budgeted};
 use crate::Strategy;
@@ -218,6 +220,16 @@ impl Shared {
 
     fn done(&self) -> bool {
         self.lock().done()
+    }
+
+    /// Waits up to `timeout` for the run to end; returns whether it has.
+    fn wait_done(&self, timeout: Duration) -> bool {
+        let st = self.lock();
+        let (st, _) = self
+            .completed
+            .wait_timeout_while(st, timeout, |st| !st.done())
+            .unwrap_or_else(|p| p.into_inner());
+        st.done()
     }
 
     /// The run actually finished (every cell emitted, no crash) — the
@@ -409,28 +421,31 @@ impl Coordinator {
         let poll = Duration::from_millis(cfg.io_poll_ms.max(1));
         let mut emit_counts = vec![0u32; total];
         let mut sink_emitted = 0u64;
-
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("coordinator listener setup failed: {e}"))?;
+        let addr = listener
+            .local_addr()
+            .map_err(|e| format!("coordinator listener has no address: {e}"))?;
 
         std::thread::scope(|scope| {
-            // Acceptor: polls for connections, one handler thread each.
-            scope.spawn(|| {
-                while !shared.done() {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            scope.spawn(|| {
-                                handle_worker(stream, &shared, total, &cfg, &fingerprint, epoch);
-                            });
+            // Acceptor: blocks in accept, one handler thread per
+            // connection. The emitter wakes it with a self-connect once
+            // the run is done; that connection is dropped unserved.
+            scope.spawn(|| loop {
+                match listener.accept() {
+                    Ok((stream, _peer)) => {
+                        if shared.done() {
+                            break;
                         }
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            std::thread::sleep(poll);
+                        scope.spawn(|| {
+                            handle_worker(stream, &shared, total, &cfg, &fingerprint, epoch);
+                        });
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    // Back off one poll slice and retry, unless the run
+                    // ends meanwhile.
+                    Err(_) => {
+                        if shared.wait_done(poll) {
+                            break;
                         }
-                        Err(_) => std::thread::sleep(poll),
                     }
                 }
             });
@@ -495,6 +510,10 @@ impl Coordinator {
                     .map(|(g, _)| g)
                     .unwrap_or_else(|p| p.into_inner().0);
                 drop(guard);
+            }
+            // Both exits above leave the run done: wake the acceptor.
+            if let Err(e) = wake_listener(addr) {
+                eprintln!("cannot wake the coordinator's accept loop: {e}");
             }
         });
 

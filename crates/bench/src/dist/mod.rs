@@ -54,9 +54,11 @@ pub struct DistConfig {
     /// keeps a worker busy while its previous result is in transit and
     /// gives the shutdown drain something real to drain.
     pub pipeline: usize,
-    /// Socket poll slice (milliseconds) — the granularity of every
-    /// timeout check; no read or write ever blocks longer than a few of
-    /// these.
+    /// Socket read slice (milliseconds): frame reads re-check their
+    /// deadline and the end of the run this often, and no read or write
+    /// blocks longer than a few of these. Accepts do not wait on it;
+    /// they block until a worker connects or the emitter's end-of-run
+    /// self-connect wakes them.
     pub io_poll_ms: u64,
     /// Registration deadline (milliseconds) for a fresh connection to
     /// present its hello frame.

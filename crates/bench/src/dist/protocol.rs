@@ -35,7 +35,7 @@
 //! double-emitted into the resumed run's artifact.
 
 use std::io::{ErrorKind, Read};
-use std::net::TcpStream;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Protocol version; bumped on any incompatible frame change (v2 added
@@ -450,6 +450,27 @@ impl Default for FrameReader {
     }
 }
 
+/// Wakes a thread blocked in `accept()` on the listener bound at `addr`
+/// by connecting to it and hanging up. The woken loop re-checks its
+/// stop condition and drops the connection unserved. A listener bound
+/// to an unspecified address (`0.0.0.0`, `[::]`) is reached through
+/// loopback of the same family on the same port.
+///
+/// # Errors
+///
+/// Returns the connect error; the accept loop then stays blocked until
+/// the next real connection.
+pub fn wake_listener(addr: SocketAddr) -> std::io::Result<()> {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&target, Duration::from_secs(1)).map(drop)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,6 +613,21 @@ mod tests {
             || false,
         );
         assert_eq!(end, Err(RecvError::Closed));
+    }
+
+    #[test]
+    fn wake_listener_unblocks_accept_on_an_unspecified_address() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        assert!(addr.ip().is_unspecified());
+        let woken = std::thread::spawn(move || listener.accept().map(|(_, peer)| peer));
+        wake_listener(addr).unwrap();
+        let peer = woken.join().unwrap().unwrap();
+        assert!(
+            peer.ip().is_loopback(),
+            "woken through loopback, got {peer}"
+        );
     }
 
     #[test]

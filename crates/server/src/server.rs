@@ -3,9 +3,10 @@
 //!
 //! Concurrency model:
 //!
-//! * The listener is non-blocking; the accept loop polls it and a stop
-//!   flag, so a `shutdown` request (or a closed listener) ends the run
-//!   promptly.
+//! * The accept loop blocks in `accept()`. A `shutdown` request sets the
+//!   stop flag and then connects to the listener to wake the loop
+//!   ([`wake_listener`]); the loop re-checks the flag after every accept
+//!   and drops that connection unserved. A failed accept stops the run.
 //! * Each connection gets a scoped handler thread reading line-framed
 //!   requests with the distributed runner's [`FrameReader`] (partial
 //!   lines accumulate across reads; a slow client can stall its own
@@ -32,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ftes_bench::dist::protocol::{FrameReader, RecvError};
+use ftes_bench::dist::protocol::{wake_listener, FrameReader, RecvError};
 use ftes_bench::matrix::{cell_json, run_cell_seeded};
 use ftes_gen::Scenario;
 use ftes_model::Cost;
@@ -59,7 +60,9 @@ pub struct ServerConfig {
     /// Maximum concurrent engine runs; the total budget is split over
     /// these slots via [`CoreBudget::fan_out`].
     pub engine_slots: usize,
-    /// Socket poll slice for the accept loop and frame reads.
+    /// Read slice for frame reads: a handler waiting for a request line
+    /// re-checks its idle deadline and the stop flag this often. Accepts
+    /// do not wait on it; they block until a connection arrives.
     pub io_poll_ms: u64,
     /// Per-connection idle limit: a connection with no complete request
     /// line for this long is closed (the client can reconnect).
@@ -245,9 +248,6 @@ impl Server {
     /// Returns a message when the bind or the cache-dir creation fails.
     pub fn bind(addr: &str, cfg: ServerConfig) -> Result<Server, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking: {e}"))?;
         Ok(Server { listener, cfg })
     }
 
@@ -260,62 +260,74 @@ impl Server {
 
     /// Serves until a `shutdown` request arrives, then returns the
     /// final cache counters. Every connection error is contained to its
-    /// handler; the accept loop only stops on shutdown.
+    /// handler; the accept loop only stops on shutdown or a failed
+    /// accept.
     ///
     /// # Errors
     ///
     /// Returns a message when the cache cannot be initialized.
     pub fn run(self) -> Result<CacheStats, String> {
-        let cache = Mutex::new(
-            ResultCache::new(self.cfg.mem_cap, self.cfg.cache_dir.as_deref())?
-                .with_disk_cap(self.cfg.disk_cap_bytes),
-        );
-        let inflight = Inflight::default();
+        let cache = ResultCache::new(self.cfg.mem_cap, self.cfg.cache_dir.as_deref())?
+            .with_disk_cap(self.cfg.disk_cap_bytes);
         let budget = CoreBudget::new(self.cfg.threads.resolve());
         let (slots, per_slot) = budget.fan_out(self.cfg.engine_slots.max(1));
-        let gate = Gate::new(slots);
-        let stop = AtomicBool::new(false);
-        let poll = Duration::from_millis(self.cfg.io_poll_ms.max(1));
+        let shared = Shared {
+            cache: Mutex::new(cache),
+            inflight: Inflight::default(),
+            gate: Gate::new(slots),
+            per_slot,
+            stop: AtomicBool::new(false),
+            addr: self.local_addr(),
+            cfg: self.cfg,
+        };
 
-        std::thread::scope(|scope| {
-            while !stop.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let (cache, inflight, gate, stop, cfg) =
-                            (&cache, &inflight, &gate, &stop, &self.cfg);
-                        scope.spawn(move || {
-                            handle_connection(stream, cache, inflight, gate, stop, cfg, per_slot);
-                        });
+        std::thread::scope(|scope| loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    // Re-checked after every accept: the connection that
+                    // woke a stopping loop is dropped unserved.
+                    if shared.stop.load(Ordering::SeqCst) {
+                        break;
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(poll);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        // A broken listener cannot serve anyone; stop.
-                        eprintln!("accept failed: {e}");
-                        stop.store(true, Ordering::SeqCst);
-                    }
+                    let shared = &shared;
+                    scope.spawn(move || handle_connection(stream, shared));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    // A broken listener cannot serve anyone; stop.
+                    eprintln!("accept failed: {e}");
+                    shared.stop.store(true, Ordering::SeqCst);
+                    break;
                 }
             }
         });
-        Ok(cache.into_inner().expect("cache poisoned").stats())
+        Ok(shared.cache.into_inner().expect("cache poisoned").stats())
     }
+}
+
+/// What the accept loop shares with every connection handler.
+struct Shared {
+    cache: Mutex<ResultCache>,
+    inflight: Inflight,
+    gate: Gate,
+    /// Core budget of one engine slot.
+    per_slot: CoreBudget,
+    stop: AtomicBool,
+    /// The listener's address: a `shutdown` handler connects to it to
+    /// wake the blocked accept.
+    addr: SocketAddr,
+    cfg: ServerConfig,
 }
 
 /// Serves one connection until the peer closes, the idle limit passes
 /// or the server stops. Malformed requests get an `error` response and
 /// the connection stays open — the peer is told exactly what was wrong.
-fn handle_connection(
-    mut stream: TcpStream,
-    cache: &Mutex<ResultCache>,
-    inflight: &Inflight,
-    gate: &Gate,
-    stop: &AtomicBool,
-    cfg: &ServerConfig,
-    per_slot: CoreBudget,
-) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     use std::io::Write as _;
+
+    let Shared {
+        cache, stop, cfg, ..
+    } = shared;
 
     let poll = Duration::from_millis(cfg.io_poll_ms.max(1));
     let idle = Duration::from_millis(cfg.idle_ms.max(1));
@@ -336,7 +348,7 @@ fn handle_connection(
                 scenario,
                 goal,
                 arc,
-            }) => serve_optimize(&scenario, goal, arc, cache, inflight, gate, per_slot, cfg),
+            }) => serve_optimize(&scenario, goal, arc, shared),
             Ok(Request::Stats) => Response::Stats(cache.lock().expect("cache poisoned").stats()),
             Ok(Request::Flush) => {
                 let (mem, disk) = cache.lock().expect("cache poisoned").flush();
@@ -350,6 +362,9 @@ fn handle_connection(
             },
             Ok(Request::Shutdown) => {
                 stop.store(true, Ordering::SeqCst);
+                if let Err(e) = wake_listener(shared.addr) {
+                    eprintln!("cannot wake the accept loop: {e}");
+                }
                 Response::Ok
             }
             // Malformed lines don't touch the cache or its counters.
@@ -368,17 +383,15 @@ fn handle_connection(
 /// miss, the engine run coalesces with identical in-flight requests,
 /// warm-starts from a near-miss donor when one exists, and happens
 /// outside the cache lock behind an RAII slot permit.
-#[allow(clippy::too_many_arguments)]
-fn serve_optimize(
-    scenario: &str,
-    goal: crate::Goal,
-    arc: u64,
-    cache: &Mutex<ResultCache>,
-    inflight: &Inflight,
-    gate: &Gate,
-    per_slot: CoreBudget,
-    cfg: &ServerConfig,
-) -> Response {
+fn serve_optimize(scenario: &str, goal: crate::Goal, arc: u64, shared: &Shared) -> Response {
+    let Shared {
+        cache,
+        inflight,
+        gate,
+        per_slot,
+        cfg,
+        ..
+    } = shared;
     let parsed = match Scenario::parse_spec(scenario) {
         Ok(s) => s,
         Err(reason) => return Response::Error(reason),
@@ -402,7 +415,7 @@ fn serve_optimize(
                 let seeds = donor.as_ref().map(|(_, seeds)| seeds);
                 let permit = Permit::acquire(gate);
                 let started = Instant::now();
-                let (cell, winners) = run_cell_seeded(&parsed, goal.strategies(), per_slot, seeds);
+                let (cell, winners) = run_cell_seeded(&parsed, goal.strategies(), *per_slot, seeds);
                 // timings=false keeps the payload deterministic: the same
                 // request always caches (and serves) identical bytes.
                 let payload = cell_json(&cell, Cost::new(arc), false);
@@ -573,10 +586,15 @@ mod tests {
     #[test]
     fn panicking_leader_fails_followers_fast_instead_of_hanging_them() {
         let inflight = Arc::new(Inflight::default());
+        // The follower is spawned only once the leader's closure runs, so
+        // the key is already in the in-flight table when it arrives: the
+        // roles never depend on which thread the scheduler starts first.
+        let (running_tx, running_rx) = std::sync::mpsc::channel();
         let leader = {
             let inflight = Arc::clone(&inflight);
             std::thread::spawn(move || {
                 coalesce_compute(&inflight, 9, |run| {
+                    running_tx.send(()).expect("test thread waits for this");
                     while run.waiters.load(Ordering::SeqCst) < 1 {
                         std::thread::yield_now();
                     }
@@ -584,6 +602,7 @@ mod tests {
                 })
             })
         };
+        running_rx.recv().expect("leader never ran its compute");
         let follower = {
             let inflight = Arc::clone(&inflight);
             std::thread::spawn(move || coalesce_compute(&inflight, 9, |_| unreachable!()))

@@ -5,6 +5,7 @@
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use ftes_opt::Threads;
 use ftes_server::{Goal, Request, Response, Server, ServerConfig};
@@ -288,4 +289,37 @@ fn concurrent_identical_requests_coalesce_onto_one_engine_run() {
     // means racers join it instead of queueing behind it, so a burst of
     // identical requests never runs the engine once each.
     assert!(engine_runs < N as u64, "{labels:?}");
+}
+
+/// Serves 5 fresh-connection `stats` requests and a `shutdown` on a
+/// server bound to `bind`, whose read slice (10 s) is twice the time the
+/// whole exchange may take: neither the accepts nor the stop may wait
+/// on it.
+fn accepts_and_stops_without_waiting_on_io_poll(bind: &str) {
+    let start = Instant::now();
+    let cfg = ServerConfig {
+        io_poll_ms: 10_000,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(bind, cfg).expect("bind");
+    let addr = format!("127.0.0.1:{}", server.local_addr().port());
+    let handle = std::thread::spawn(move || server.run());
+    for _ in 0..5 {
+        let resp = round_trip(&addr, &Request::Stats);
+        assert!(matches!(resp, Response::Stats(_)), "{resp:?}");
+    }
+    assert_eq!(round_trip(&addr, &Request::Shutdown), Response::Ok);
+    handle.join().expect("server thread").expect("server run");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(5), "took {took:?}");
+}
+
+#[test]
+fn fresh_connections_and_shutdown_do_not_wait_on_io_poll() {
+    accepts_and_stops_without_waiting_on_io_poll("127.0.0.1:0");
+}
+
+#[test]
+fn shutdown_wakes_a_listener_bound_to_the_unspecified_address() {
+    accepts_and_stops_without_waiting_on_io_poll("0.0.0.0:0");
 }

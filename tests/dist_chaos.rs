@@ -337,3 +337,42 @@ fn mismatched_worker_is_rejected_not_fed_leases() {
     assert_eq!(stats.workers_rejected, 1);
     assert_eq!(stats.local_fallback_cells, cells.len() as u64);
 }
+
+#[test]
+fn run_ends_without_waiting_on_the_accept_poll_slice() {
+    // A read slice of 5 s, and 4 cheap MIN cells: neither the accepts
+    // nor the end of the run may wait on the slice, so the whole run
+    // takes milliseconds, not a multiple of 5 s.
+    let cells: Vec<Scenario> = mini_matrix().into_iter().take(4).collect();
+    let cfg = DistConfig {
+        io_poll_ms: 5_000,
+        ..test_cfg()
+    };
+    let workers = [
+        LocalWorkerSpec {
+            seed: 1,
+            ..LocalWorkerSpec::default()
+        },
+        LocalWorkerSpec {
+            seed: 2,
+            ..LocalWorkerSpec::default()
+        },
+    ];
+    let start = std::time::Instant::now();
+    let (stats, _) = run_dist_local(
+        &cells,
+        &[Strategy::Min],
+        ARC,
+        &cfg,
+        &workers,
+        CoreBudget::new(2),
+        |_, _| {},
+    )
+    .expect("distributed run failed");
+    let took = start.elapsed();
+    assert_eq!(stats.cells_emitted, cells.len() as u64);
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "run took {took:?}"
+    );
+}
