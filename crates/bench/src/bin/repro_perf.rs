@@ -3,11 +3,11 @@
 //!
 //! * `scratch`     — from-scratch evaluation, sequential (the pre-PR 2
 //!   baseline, `EvalMode::Scratch` + `Threads(1)`);
-//! * `incremental` — the full incremental engine, sequential: candidate
-//!   memo + incremental SFP (PR 2), heap-indexed ready queue + priority
-//!   delta cache + mapping-outcome memo (PR 5), and the batched
-//!   allocation-free core — SoA `SystemSfp`, candidate arena and the
-//!   one-walk `score_neighborhood` kernel (PR 6);
+//! * `incremental` — the full incremental engine, sequential:
+//!   incremental SFP, heap-indexed ready queue + priority delta cache +
+//!   mapping-outcome memo, and the batched allocation-free core — SoA
+//!   `SystemSfp`, candidate arena and the one-walk `score_neighborhood`
+//!   kernel;
 //! * `parallel`    — incremental + the worker-pool architecture
 //!   exploration (`Threads(0)` = all cores).
 //!
@@ -54,7 +54,6 @@ struct ModeResult {
     architectures_evaluated: u64,
     architectures_pruned: u64,
     evaluations: u64,
-    cache_hits: u64,
     sfp_nodes_computed: u64,
     sfp_nodes_reused: u64,
     priority_recomputed: u64,
@@ -73,7 +72,6 @@ fn run_mode_once(systems: &[System], config: &OptConfig) -> ModeResult {
         architectures_evaluated: 0,
         architectures_pruned: 0,
         evaluations: 0,
-        cache_hits: 0,
         sfp_nodes_computed: 0,
         sfp_nodes_reused: 0,
         priority_recomputed: 0,
@@ -91,7 +89,6 @@ fn run_mode_once(systems: &[System], config: &OptConfig) -> ModeResult {
                 result.architectures_evaluated += u64::from(out.stats.architectures_evaluated);
                 result.architectures_pruned += u64::from(out.stats.architectures_pruned);
                 result.evaluations += out.stats.eval.evaluations;
-                result.cache_hits += out.stats.eval.cache_hits;
                 result.sfp_nodes_computed += out.stats.eval.sfp_nodes_computed;
                 result.sfp_nodes_reused += out.stats.eval.sfp_nodes_reused;
                 result.priority_recomputed += out.stats.eval.priority_recomputed;
@@ -133,7 +130,6 @@ fn mode_json(name: &str, mode: &ModeResult) -> String {
             "      \"architectures_pruned\": {},\n",
             "      \"architectures_per_second\": {:.3},\n",
             "      \"candidate_evaluations\": {},\n",
-            "      \"cache_hits\": {},\n",
             "      \"sfp_nodes_computed\": {},\n",
             "      \"sfp_nodes_reused\": {},\n",
             "      \"priority_recomputed\": {},\n",
@@ -150,7 +146,6 @@ fn mode_json(name: &str, mode: &ModeResult) -> String {
         mode.architectures_pruned,
         archs as f64 / mode.seconds.max(1e-12),
         mode.evaluations,
-        mode.cache_hits,
         mode.sfp_nodes_computed,
         mode.sfp_nodes_reused,
         mode.priority_recomputed,
@@ -205,12 +200,11 @@ fn bench_set(label: &str, systems: &[System], base: &OptConfig, series: usize) -
     let speedup_parallel = scratch.seconds / parallel.seconds.max(1e-12);
     eprintln!(
         "{label}: scratch {:.3}s | incremental {:.3}s ({speedup_incremental:.2}x) | \
-         parallel {:.3}s ({speedup_parallel:.2}x) | cache hits {}/{} | sfp reuse {}/{} | \
+         parallel {:.3}s ({speedup_parallel:.2}x) | evaluations {} | sfp reuse {}/{} | \
          priority reuse {}/{} | tabu memo {}/{} | batched probes {} | arena reuses {}",
         scratch.seconds,
         incremental.seconds,
         parallel.seconds,
-        incremental.cache_hits,
         incremental.evaluations,
         incremental.sfp_nodes_reused,
         incremental.sfp_nodes_computed + incremental.sfp_nodes_reused,

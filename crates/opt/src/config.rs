@@ -71,8 +71,8 @@ impl Default for TabuConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum EvalMode {
     /// The incremental engine: per-node SFP series caches with one-node
-    /// delta updates plus a memo cache over (architecture, mapping)
-    /// candidates, so re-probed candidates are never evaluated twice.
+    /// delta updates, delta-maintained scheduling priorities and the flat
+    /// list-scheduling walk, so a probe re-prices only what it changed.
     #[default]
     Incremental,
     /// Evaluate every candidate from scratch (the pre-optimization

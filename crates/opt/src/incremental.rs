@@ -8,30 +8,30 @@
 //! although consecutive probes differ in a single node's hardening level
 //! or a single process re-mapping.
 //!
-//! [`Evaluator`] exploits that structure on three levels:
+//! [`Evaluator`] exploits that structure on two levels:
 //!
-//! 1. **Memo cache.** Results are cached per (architecture, mapping)
-//!    candidate — one fasthash over the candidate identity with exact
-//!    verification on hit (a collision degrades to a miss, never a wrong
-//!    result) — behind `Arc` so hits are pointer copies. The reduction
-//!    phase re-visits the increase phase's endpoint and aspiration
-//!    re-probes recently evaluated candidates; each repeat is a lookup.
-//!    (Whole-mapping revisits are absorbed one level up by
-//!    [`RedundancyMemo`](crate::RedundancyMemo).)
-//! 2. **Incremental SFP.** On a miss, the per-node `Pr(f > k)` series are
+//! 1. **Incremental SFP.** The per-node `Pr(f > k)` series are
 //!    delta-synced through [`SystemSfp`]: the candidate is diffed against
 //!    the previously synced one and only the touched nodes are updated —
 //!    `O(changed)` instead of `O(all nodes × max_k)` — where `SystemSfp`'s
 //!    own configuration memo and lazy series extension make even a touched
 //!    node cheap when its configuration was seen before or its budget
 //!    stays small.
-//! 3. **The flat scheduling kernel.** One merged `ExecSpec` pass per
-//!    executed probe resolves every process's WCET and failure
-//!    probability together; the WCETs feed a
+//! 2. **The flat scheduling kernel.** One merged `ExecSpec` pass per
+//!    probe resolves every process's WCET and failure probability
+//!    together; the WCETs feed a
 //!    [`PriorityCache`](ftes_sched::PriorityCache) (longest-path
 //!    priorities delta-maintained across probes) and
 //!    [`Scheduler::run_light_flat`] — the list-scheduling walk with no
 //!    architecture or timing-table lookups left in the loop.
+//!
+//! There is no per-candidate result memo: whole-mapping revisits are
+//! absorbed one level up by [`RedundancyMemo`](crate::RedundancyMemo),
+//! and the few remaining repeats (a reduction step revisiting an
+//! increase-phase trial) are cheaper to re-run through the delta path
+//! than to keep every candidate alive for. Every probe therefore runs the
+//! same executed path, and its [`Candidate`] is recycled from the
+//! evaluator's probe arena, so steady-state probes allocate nothing.
 //!
 //! Mapping validation is hoisted out of the inner loops: a (node-types,
 //! mapping) pair is validated once, not once per hardening probe.
@@ -41,8 +41,6 @@
 //! `tests/incremental_differential.rs` pins the equivalence.
 
 use std::sync::Arc;
-
-use ftes_model::fasthash::FastHashMap;
 
 use ftes_model::{
     Architecture, Cost, FlatTiming, Mapping, ModelError, NodeId, NodeInstance, Prob, ProcessId,
@@ -54,10 +52,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{EvalMode, OptConfig};
 use crate::evaluation::{evaluate_fixed, Solution};
-
-/// Soft bound on memoized candidates; the cache is dropped wholesale when
-/// it grows past this (keeps worst-case memory bounded without an LRU).
-const CACHE_CAP: usize = 1 << 16;
 
 /// Candidates tracked by the [`ProbeArena`] for recycling.
 const ARENA_CAP: usize = 32;
@@ -146,12 +140,13 @@ impl Candidate {
 /// Counters of the incremental engine, aggregated per [`Evaluator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EvalStats {
-    /// Candidate evaluations requested (cache hits included).
+    /// Candidate evaluations requested.
     pub evaluations: u64,
-    /// Requests served from the (architecture, mapping) memo cache.
+    /// Always 0: the evaluator keeps no per-candidate memo, so no request
+    /// is answered without running the evaluation. Kept so readers of
+    /// the counter set keep compiling.
     pub cache_hits: u64,
-    /// Node deltas applied (a cache-missing candidate touches only its
-    /// changed nodes).
+    /// Node deltas applied (a probe touches only its changed nodes).
     pub sfp_nodes_computed: u64,
     /// Node series reused unchanged across consecutive probes.
     pub sfp_nodes_reused: u64,
@@ -172,8 +167,8 @@ pub struct EvalStats {
     /// Probes scored through the batched neighborhood kernel
     /// ([`Evaluator::score_neighborhood`]).
     pub batched_probes: u64,
-    /// Executed evaluations whose `Candidate` was recycled from the probe
-    /// arena instead of freshly allocated.
+    /// Evaluations whose `Candidate` was recycled from the probe arena
+    /// instead of freshly allocated.
     pub arena_reuses: u64,
 }
 
@@ -182,7 +177,6 @@ impl EvalStats {
     /// own an evaluator).
     pub fn merge(&mut self, other: EvalStats) {
         self.evaluations += other.evaluations;
-        self.cache_hits += other.cache_hits;
         self.sfp_nodes_computed += other.sfp_nodes_computed;
         self.sfp_nodes_reused += other.sfp_nodes_reused;
         self.series_memo_hits += other.series_memo_hits;
@@ -194,30 +188,20 @@ impl EvalStats {
         self.batched_probes += other.batched_probes;
         self.arena_reuses += other.arena_reuses;
     }
-
-    /// Full evaluations actually executed (requests minus memo hits).
-    pub fn evaluations_executed(&self) -> u64 {
-        self.evaluations - self.cache_hits
-    }
 }
 
 /// Stateful candidate evaluator shared across the probes of one search.
 ///
 /// Construct once per search (or per worker thread) and feed every
 /// candidate through [`evaluate`](Evaluator::evaluate); the evaluator
-/// carries the memo cache and the incremental SFP state across probes. In
-/// [`EvalMode::Scratch`] it degrades to calling [`evaluate_fixed`] per
-/// probe, bit-identically but without any reuse.
+/// carries the incremental SFP, priority and scheduling state and the
+/// candidate arena across probes. In [`EvalMode::Scratch`] it degrades to
+/// calling [`evaluate_fixed`] per probe, bit-identically but without any
+/// reuse.
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     system: &'a System,
     config: &'a OptConfig,
-    /// Memo: fasthash of (architecture, mapping) → candidate
-    /// (`Unreachable` = reliability goal unreachable). Single-level with
-    /// one hash pass per probe; entries are verified exactly on hit (the
-    /// candidate embeds its architecture and mapping), so a collision
-    /// degrades to a miss instead of a wrong result.
-    cache: FastHashMap<u64, CacheEntry>,
     /// Contiguous timing snapshot for the hot lookups.
     flat: FlatTiming,
     /// Incremental per-node SFP series, synced to the candidate described
@@ -260,14 +244,16 @@ pub struct Evaluator<'a> {
 /// A freelist of `Arc<Candidate>`s (plus scratch [`Architecture`]s for
 /// the redundancy walk) so steady-state probes allocate nothing.
 ///
-/// Every executed evaluation *tracks* its candidate here; `take` scans the
-/// tracked entries back to front for one whose other owners (the caller,
-/// the candidate cache, the mapping memo) have dropped their references
-/// (`strong_count == 1`) and recycles it by overwriting its fields in
-/// place — the `Architecture`/`Mapping`/`ks` rewrites reuse the existing
-/// allocations via `clone_from`. A candidate that is still referenced
-/// stays in the pool untouched, so recycling can never alias a live
-/// result; a pool overflow just drops the oldest tracking reference
+/// Every reachable evaluation *tracks* its candidate here; `take` scans
+/// the tracked entries back to front for one whose other owners (the
+/// caller, the redundancy walk's best-so-far slots, the mapping memo) have
+/// dropped their references (`strong_count == 1`) and recycles it by
+/// overwriting its fields in place — the `Architecture`/`Mapping`/`ks`
+/// rewrites reuse the existing allocations via `clone_from`. The evaluator
+/// itself holds no other reference, so a probe whose result the caller
+/// has dropped is recyclable by the next one. A candidate that is still
+/// referenced stays in the pool untouched, so recycling can never alias a
+/// live result; a pool overflow just drops the oldest tracking reference
 /// (harmless — the candidate itself lives on with its other owners).
 #[derive(Debug, Default)]
 struct ProbeArena {
@@ -312,46 +298,12 @@ impl ProbeArena {
     }
 }
 
-/// One memoized candidate outcome, carrying its exact key material.
-#[derive(Debug)]
-enum CacheEntry {
-    /// A scored candidate (embeds its architecture and mapping).
-    Scored(Arc<Candidate>),
-    /// The reliability goal was unreachable for this candidate.
-    Unreachable {
-        architecture: Architecture,
-        mapping: Mapping,
-    },
-}
-
-/// One fasthash pass over the candidate identity (node instances +
-/// mapping vector), packing two 32-bit values per hashed word so the
-/// mapping vector costs half the rotate-multiply rounds.
-fn candidate_key(arch: &Architecture, mapping: &Mapping) -> u64 {
-    use std::hash::Hasher;
-    let mut h = ftes_model::fasthash::FastHasher::default();
-    h.write_usize(arch.node_count());
-    for node in arch.nodes() {
-        h.write_u64((node.node_type.index() as u64) << 8 | u64::from(node.hardening.get()));
-    }
-    let map = mapping.as_slice();
-    let mut chunks = map.chunks_exact(2);
-    for pair in &mut chunks {
-        h.write_u64((pair[0].index() as u64) << 32 | pair[1].index() as u64);
-    }
-    if let [last] = chunks.remainder() {
-        h.write_u64(last.index() as u64);
-    }
-    h.finish()
-}
-
 impl<'a> Evaluator<'a> {
     /// Creates an evaluator for one system under one configuration.
     pub fn new(system: &'a System, config: &'a OptConfig) -> Self {
         Evaluator {
             system,
             config,
-            cache: FastHashMap::default(),
             flat: FlatTiming::new(system.timing()),
             sfp: SystemSfp::new(0, config.max_k.0, config.rounding),
             synced: false,
@@ -435,8 +387,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates one fully-specified candidate — the drop-in equivalent of
-    /// [`evaluate_fixed`] (same results bit for bit), with memoization and
-    /// incremental SFP re-analysis in [`EvalMode::Incremental`].
+    /// [`evaluate_fixed`] (same results bit for bit). In
+    /// [`EvalMode::Incremental`] every call runs the executed delta path:
+    /// delta SFP, priority sync, [`Scheduler::run_light_flat`], and a
+    /// candidate recycled by the arena.
     ///
     /// # Errors
     ///
@@ -452,71 +406,6 @@ impl<'a> Evaluator<'a> {
                 .map(|solution| Arc::new(Candidate::of_solution(solution))));
         }
 
-        let key = candidate_key(arch, mapping);
-        match self.cache.get(&key) {
-            Some(CacheEntry::Scored(c)) if c.architecture == *arch && c.mapping == *mapping => {
-                self.stats.cache_hits += 1;
-                return Ok(Some(Arc::clone(c)));
-            }
-            Some(CacheEntry::Unreachable {
-                architecture,
-                mapping: m,
-            }) if architecture == arch && m == mapping => {
-                self.stats.cache_hits += 1;
-                return Ok(None);
-            }
-            // Vacant, or a hash collision: compute and overwrite.
-            _ => {}
-        }
-
-        let candidate = self.compute(arch, mapping)?;
-
-        if self.cache.len() >= CACHE_CAP {
-            // Dropping the cache also unpins the arena's tracked
-            // candidates (their only other reference was the cache
-            // entry), so the probes after an overflow recycle those
-            // allocations instead of growing the heap.
-            self.cache.clear();
-        }
-        let entry = match &candidate {
-            Some(c) => CacheEntry::Scored(Arc::clone(c)),
-            None => CacheEntry::Unreachable {
-                architecture: arch.clone(),
-                mapping: mapping.clone(),
-            },
-        };
-        self.cache.insert(key, entry);
-        Ok(candidate)
-    }
-
-    /// [`evaluate`](Evaluator::evaluate) bypassing the candidate memo
-    /// entirely (no lookup, no insertion): always runs the executed
-    /// incremental path — delta SFP, priority sync, `run_light`. Exists
-    /// for the hot-kernel microbenches and delta-machinery tests; search
-    /// loops want [`evaluate`](Evaluator::evaluate).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`evaluate`](Evaluator::evaluate).
-    pub fn evaluate_uncached(
-        &mut self,
-        arch: &Architecture,
-        mapping: &Mapping,
-    ) -> Result<Option<Arc<Candidate>>, ModelError> {
-        self.stats.evaluations += 1;
-        if self.config.eval_mode == EvalMode::Scratch {
-            return Ok(evaluate_fixed(self.system, arch, mapping, self.config)?
-                .map(|solution| Arc::new(Candidate::of_solution(solution))));
-        }
-        self.compute(arch, mapping)
-    }
-
-    /// The executed evaluation path behind both entry points.
-    fn compute(
-        &mut self,
-        arch: &Architecture,
-        mapping: &Mapping,
-    ) -> Result<Option<Arc<Candidate>>, ModelError> {
         let app = self.system.application();
         let timing = self.system.timing();
 
@@ -739,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_probes_hit_the_cache() {
+    fn repeated_probes_are_deterministic_and_retain_nothing() {
         let sys = paper::fig1_system();
         let config = OptConfig::default();
         let mut ev = Evaluator::new(&sys, &config);
@@ -747,10 +636,18 @@ mod tests {
         let first = ev.evaluate(&arch, &mapping).unwrap();
         let second = ev.evaluate(&arch, &mapping).unwrap();
         assert_eq!(first, second);
+        let scratch = evaluate_fixed(&sys, &arch, &mapping, &config).unwrap();
+        assert_eq!(
+            second.as_deref().cloned(),
+            scratch.map(Candidate::of_solution)
+        );
         let stats = ev.stats();
         assert_eq!(stats.evaluations, 2);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.evaluations_executed(), 1);
+        assert_eq!(stats.cache_hits, 0, "every request runs the evaluation");
+        // The caller plus the arena's tracking reference: the evaluator
+        // keeps no other handle on a returned candidate.
+        let c = second.expect("variant (a) reaches the goal");
+        assert_eq!(Arc::strong_count(&c), 2);
     }
 
     #[test]
@@ -789,8 +686,10 @@ mod tests {
         let (arch, mapping) = paper::fig4_alternative('a');
         ev.evaluate(&arch, &mapping).unwrap();
         ev.evaluate(&arch, &mapping).unwrap();
-        assert_eq!(ev.stats().cache_hits, 0);
-        assert_eq!(ev.stats().evaluations, 2);
+        let stats = ev.stats();
+        assert_eq!(stats.evaluations, 2);
+        assert_eq!(stats.sfp_nodes_computed, 0, "no incremental SFP state");
+        assert_eq!(stats.arena_reuses, 0, "no arena-recycled candidates");
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! (MAX).
 //!
 //! Candidates are evaluated through the incremental engine ([`Evaluator`]:
-//! an (architecture, mapping) memo cache over one-node-delta SFP
-//! re-analysis via [`ftes_sfp::SystemSfp`]), and the architecture
-//! exploration optionally fans out across a worker pool ([`Threads`]) with
-//! shared atomic `Cbest` pruning. Both are bit-identical to the
+//! one-node-delta SFP re-analysis via [`ftes_sfp::SystemSfp`] feeding a
+//! delta-maintained priority cache and a flat list-scheduling walk), and
+//! the architecture exploration optionally fans out across a worker pool
+//! ([`Threads`]) with shared atomic `Cbest` pruning. Both are bit-identical to the
 //! from-scratch sequential pipeline, which remains selectable as the
 //! executable specification via [`EvalMode::Scratch`].
 //!

@@ -48,13 +48,12 @@ pub struct RedundancyOutcome {
 /// The tabu search revisits mappings constantly — recently tried moves,
 /// the `Cost` pass re-walking the `ScheduleLength` pass's neighbourhood —
 /// and every revisit replays the whole hardening phase walk (dozens of
-/// candidate probes, each hashing a full architecture + mapping even on a
-/// cache hit). This memo collapses a revisit to **one** fasthash of the
-/// mapping vector. Keys are verified exactly on hit (the stored types and
-/// mapping are compared), so a hash collision degrades to a miss instead
-/// of a wrong result — outcomes stay bit-identical to the unmemoized
-/// walk, which remains selectable via `MemoCap(0)` and is pinned by the
-/// hot-kernel differential suite.
+/// executed candidate probes). This memo collapses a revisit to **one**
+/// fasthash of the mapping vector. Keys are verified exactly on hit (the
+/// stored types and mapping are compared), so a hash collision degrades
+/// to a miss instead of a wrong result — outcomes stay bit-identical to
+/// the unmemoized walk, which remains selectable via `MemoCap(0)` and is
+/// pinned by the hot-kernel differential suite.
 ///
 /// The key deliberately ignores `base`'s hardening levels: the redundancy
 /// optimization controls them (per [`HardeningPolicy`]), so its outcome
@@ -183,9 +182,10 @@ pub fn redundancy_opt(
     redundancy_opt_with(&mut evaluator, base, mapping)
 }
 
-/// [`redundancy_opt`] on a caller-provided [`Evaluator`], so the memo
-/// cache and incremental SFP state persist across the probes of an
-/// enclosing search (the tabu mapping loop, the architecture exploration).
+/// [`redundancy_opt`] on a caller-provided [`Evaluator`], so the
+/// incremental SFP state and the candidate arena persist across the
+/// probes of an enclosing search (the tabu mapping loop, the architecture
+/// exploration).
 pub fn redundancy_opt_with(
     evaluator: &mut Evaluator<'_>,
     base: &Architecture,

@@ -81,6 +81,17 @@ fn test_cfg() -> DistConfig {
     }
 }
 
+/// [`test_cfg`] with a grace window no registration delay can reach: the
+/// coordinator never falls back to local execution, so a test whose
+/// workers are all healthy can assert that they did every cell. Tests
+/// that exercise the fallback keep [`test_cfg`]'s 300 ms.
+fn workers_only_cfg() -> DistConfig {
+    DistConfig {
+        grace_ms: u64::MAX,
+        ..test_cfg()
+    }
+}
+
 /// Runs the distributed sweep and returns (stats, reports, payloads in
 /// emission order) — asserting the in-order sink contract along the way.
 fn dist_run(
@@ -127,7 +138,7 @@ fn fault_free_distributed_run_matches_sequential_bytes() {
             ..LocalWorkerSpec::default()
         },
     ];
-    let (stats, reports, got) = dist_run(&cells, &test_cfg(), &workers);
+    let (stats, reports, got) = dist_run(&cells, &workers_only_cfg(), &workers);
     assert_eq!(got, expected);
     assert_eq!(stats.cells_emitted, cells.len() as u64);
     assert_eq!(stats.results_ok, cells.len() as u64);
@@ -214,7 +225,7 @@ fn duplicate_completions_are_dropped_and_counted() {
         chaos: ChaosPlan::parse("dup:3").unwrap(),
         seed: 5,
     }];
-    let (stats, reports, got) = dist_run(&cells, &test_cfg(), &workers);
+    let (stats, reports, got) = dist_run(&cells, &workers_only_cfg(), &workers);
     assert_eq!(got, expected);
     assert_eq!(stats.cells_emitted, cells.len() as u64);
     let fired = reports[0].chaos_fired;

@@ -1,18 +1,20 @@
-//! Allocation regression test for the PR 6 candidate arena: steady-state
+//! Allocation regression test for the candidate arena: steady-state
 //! probe evaluation must not touch the heap.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
-//! warms the engine (memo caches filled, SoA buffers at their working
-//! capacity, arena stocked with recyclable candidates) and then pins three
-//! steady-state probe patterns at **zero allocations**:
+//! warms the engine (SFP configuration memo filled, SoA buffers at their
+//! working capacity, arena stocked with recyclable candidates) and then
+//! pins three steady-state probe patterns at **zero allocations**:
 //!
-//! 1. an alternating executed-probe walk through `evaluate_uncached`
-//!    (hardening flip — delta SFP splice, priority delta, flat schedule,
-//!    arena-recycled candidate);
-//! 2. repeated candidate-cache hits through `evaluate`;
-//! 3. whole memoized redundancy-walk revisits through
-//!    `redundancy_opt_memo` (both the mapping-memo hit and, with the memo
-//!    disabled, the pooled-architecture walk over candidate-cache hits).
+//! 1. an alternating probe walk through `evaluate` (hardening flip —
+//!    delta SFP splice, priority delta, flat schedule, arena-recycled
+//!    candidate);
+//! 2. repeated probes of one candidate through `evaluate`, each of which
+//!    runs the evaluation again and recycles the previous probe's
+//!    candidate;
+//! 3. whole redundancy-walk revisits through `redundancy_opt_memo` (both
+//!    the mapping-memo hit and, with the memo disabled, the
+//!    pooled-architecture walk over arena-recycled candidates).
 //!
 //! The file is its own integration-test binary so no concurrently running
 //! test can pollute the allocation counter; the scenarios therefore run
@@ -70,15 +72,15 @@ fn steady_state_probes_allocate_nothing() {
     for _ in 0..8 {
         // Results dropped immediately: the tracked candidates become
         // uniquely referenced and recyclable.
-        ev.evaluate_uncached(&arch_lo, &mapping).unwrap();
-        ev.evaluate_uncached(&arch_hi, &mapping).unwrap();
+        ev.evaluate(&arch_lo, &mapping).unwrap();
+        ev.evaluate(&arch_hi, &mapping).unwrap();
     }
     let reuses_before = ev.stats().arena_reuses;
     let (allocs, _) = allocations_in(|| {
         for _ in 0..32 {
-            let a = ev.evaluate_uncached(&arch_lo, &mapping).unwrap();
+            let a = ev.evaluate(&arch_lo, &mapping).unwrap();
             drop(a);
-            let b = ev.evaluate_uncached(&arch_hi, &mapping).unwrap();
+            let b = ev.evaluate(&arch_hi, &mapping).unwrap();
             drop(b);
         }
     });
@@ -89,16 +91,22 @@ fn steady_state_probes_allocate_nothing() {
     let reuses = ev.stats().arena_reuses - reuses_before;
     assert_eq!(reuses, 64, "every executed probe must recycle a candidate");
 
-    // --- 2. candidate-cache hits ----------------------------------------
+    // --- 2. re-probes of one candidate ----------------------------------
     ev.evaluate(&arch_lo, &mapping).unwrap();
     ev.evaluate(&arch_lo, &mapping).unwrap();
+    let reuses_before = ev.stats().arena_reuses;
     let (allocs, _) = allocations_in(|| {
         for _ in 0..32 {
-            let hit = ev.evaluate(&arch_lo, &mapping).unwrap();
-            drop(hit);
+            let again = ev.evaluate(&arch_lo, &mapping).unwrap();
+            drop(again);
         }
     });
-    assert_eq!(allocs, 0, "candidate-cache hits must be allocation-free");
+    assert_eq!(
+        allocs, 0,
+        "re-probes of one candidate must be allocation-free"
+    );
+    let reuses = ev.stats().arena_reuses - reuses_before;
+    assert_eq!(reuses, 32, "every re-probe must recycle a candidate");
 
     // --- 3a. mapping-memo revisits --------------------------------------
     let mut memo_ev = Evaluator::new(&system, &config);
@@ -126,6 +134,6 @@ fn steady_state_probes_allocate_nothing() {
     });
     assert_eq!(
         allocs, 0,
-        "unmemoized redundancy revisits (pooled arch + cached candidates) must be allocation-free"
+        "unmemoized redundancy revisits (pooled arch + recycled candidates) must be allocation-free"
     );
 }
