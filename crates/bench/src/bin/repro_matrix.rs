@@ -28,8 +28,8 @@
 //!   axes are swept; unlisted axes collapse to their first value. E.g.
 //!   `--axes shape,message` sweeps graph shape × message load only.
 //! * `--threads N` caps the **total** core budget (cell pool × per-cell
-//!   app fan-out × design threads share it; results are bit-identical
-//!   for any value, 0 = all cores).
+//!   app fan-out share it; results are bit-identical for any value,
+//!   0 = all cores).
 //! * `--shard I/N` runs only every N-th cell starting at I (stride
 //!   sharding keeps each shard covering all axis values). Each shard
 //!   writes a complete JSON document tagged with its shard coordinates

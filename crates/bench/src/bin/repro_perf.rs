@@ -1,17 +1,14 @@
 //! Perf harness for the design-space exploration: times `design_strategy`
-//! on the paper systems and a synthetic batch under three pipelines —
+//! on the paper systems and a synthetic batch under two pipelines —
 //!
-//! * `scratch`     — from-scratch evaluation, sequential (the pre-PR 2
-//!   baseline, `EvalMode::Scratch` + `Threads(1)`);
-//! * `incremental` — the full incremental engine, sequential:
-//!   incremental SFP, heap-indexed ready queue + priority delta cache +
-//!   mapping-outcome memo, and the batched allocation-free core — SoA
-//!   `SystemSfp`, candidate arena and the one-walk `score_neighborhood`
-//!   kernel;
-//! * `parallel`    — incremental + the worker-pool architecture
-//!   exploration (`Threads(0)` = all cores).
+//! * `scratch`     — from-scratch evaluation (the pre-PR 2 baseline,
+//!   `EvalMode::Scratch`);
+//! * `incremental` — the full incremental engine: incremental SFP,
+//!   heap-indexed ready queue + priority delta cache + mapping-outcome
+//!   memo, and the batched allocation-free core — SoA `SystemSfp`,
+//!   candidate arena and the one-walk `score_neighborhood` kernel.
 //!
-//! All three return bit-identical solutions (verified per run); the
+//! Both return bit-identical solutions (verified per run); the
 //! interesting output is the wall-clock trajectory, written as
 //! machine-readable JSON so future PRs can compare against it.
 //!
@@ -25,14 +22,14 @@
 //! suppresses scheduler noise on the shared runner), output to
 //! `BENCH_PR6.json` — the PR 6 counters (batched probes, arena reuses)
 //! plus a direct comparison block against the committed PR 5 numbers
-//! (read from `--baseline`, default `BENCH_PR5.json`), a thread-scaling
-//! sweep of the parallel pipeline, and the committed CI floor
-//! (`--floor`). `BENCH_PR5.json` itself is never rewritten: it is the
-//! frozen baseline the comparison reads.
+//! (read from `--baseline`, default `BENCH_PR5.json`), the committed CI
+//! floor (`--floor`) and, as `worker_threads`, the box's CPU count.
+//! `BENCH_PR5.json` itself is never rewritten: it is the frozen baseline
+//! the comparison reads.
 //!
 //! * `--smoke` shrinks the batch to 2 applications and 1 series for CI
 //!   (the harness is exercised end to end; the timings are not
-//!   meaningful), and omits the thread-scaling sweep.
+//!   meaningful).
 //! * `--bench-pr6` is the explicit spelling of the default mode.
 //! * `--check-floor PATH` reads `ci_floor_speedup` from a committed
 //!   `BENCH_PR6.json` and exits non-zero when this run's synthetic
@@ -157,54 +154,40 @@ fn mode_json(name: &str, mode: &ModeResult) -> String {
     )
 }
 
-/// The three pipeline timings of one system set.
+/// The pipeline timings of one system set.
 struct SetResult {
     json: String,
     incremental_seconds: f64,
     speedup_incremental: f64,
 }
 
-/// Times the three pipelines over one set of systems and renders the JSON
+/// Times the two pipelines over one set of systems and renders the JSON
 /// object body (plus a human-readable summary on stderr).
 fn bench_set(label: &str, systems: &[System], base: &OptConfig, series: usize) -> SetResult {
     let scratch_cfg = OptConfig {
         eval_mode: EvalMode::Scratch,
-        threads: Threads(1),
         ..base.clone()
     };
     let incremental_cfg = OptConfig {
         eval_mode: EvalMode::Incremental,
-        threads: Threads(1),
-        ..base.clone()
-    };
-    let parallel_cfg = OptConfig {
-        eval_mode: EvalMode::Incremental,
-        threads: Threads(0),
         ..base.clone()
     };
 
     let scratch = run_mode(systems, &scratch_cfg, series);
     let incremental = run_mode(systems, &incremental_cfg, series);
-    let parallel = run_mode(systems, &parallel_cfg, series);
 
     assert_eq!(
         scratch.costs, incremental.costs,
         "{label}: incremental diverged from scratch"
     );
-    assert_eq!(
-        scratch.costs, parallel.costs,
-        "{label}: parallel diverged from scratch"
-    );
 
     let speedup_incremental = scratch.seconds / incremental.seconds.max(1e-12);
-    let speedup_parallel = scratch.seconds / parallel.seconds.max(1e-12);
     eprintln!(
         "{label}: scratch {:.3}s | incremental {:.3}s ({speedup_incremental:.2}x) | \
-         parallel {:.3}s ({speedup_parallel:.2}x) | evaluations {} | sfp reuse {}/{} | \
-         priority reuse {}/{} | tabu memo {}/{} | batched probes {} | arena reuses {}",
+         evaluations {} | sfp reuse {}/{} | priority reuse {}/{} | tabu memo {}/{} | \
+         batched probes {} | arena reuses {}",
         scratch.seconds,
         incremental.seconds,
-        parallel.seconds,
         incremental.evaluations,
         incremental.sfp_nodes_reused,
         incremental.sfp_nodes_computed + incremental.sfp_nodes_reused,
@@ -217,13 +200,11 @@ fn bench_set(label: &str, systems: &[System], base: &OptConfig, series: usize) -
     );
 
     let json = format!(
-        "  \"{}\": {{\n{},\n{},\n{},\n    \"speedup_incremental\": {:.3},\n    \"speedup_parallel\": {:.3}\n  }}",
+        "  \"{}\": {{\n{},\n{},\n    \"speedup_incremental\": {:.3}\n  }}",
         label,
         mode_json("scratch", &scratch),
         mode_json("incremental", &incremental),
-        mode_json("parallel", &parallel),
         speedup_incremental,
-        speedup_parallel,
     );
     SetResult {
         json,
@@ -279,42 +260,6 @@ fn comparison_json(baseline_path: &str, pr6_incremental_seconds: f64) -> String 
             "  }},\n"
         ),
         baseline_path, pr5_scratch, pr5_incremental, pr6_incremental_seconds, speedup_vs_pr5,
-    )
-}
-
-/// The thread-scaling sweep: the parallel pipeline at explicit worker
-/// counts plus `Threads(0)` (= all cores), each under the best-of-series
-/// protocol. On a single-CPU runner the counts past 1 measure the
-/// fan-out overhead honestly rather than a speedup — the JSON records
-/// `cpus` so readers can tell.
-fn thread_scaling_json(systems: &[System], base: &OptConfig, series: usize) -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut rows = String::new();
-    for threads in [1u32, 2, 4, 0] {
-        let cfg = OptConfig {
-            eval_mode: EvalMode::Incremental,
-            threads: Threads(threads as usize),
-            ..base.clone()
-        };
-        let run = run_mode(systems, &cfg, series);
-        let resolved = Threads(threads as usize).resolve();
-        eprintln!(
-            "thread_scaling: requested {threads} (resolved {resolved}): {:.3}s",
-            run.seconds
-        );
-        rows.push_str(&format!(
-            "    {{ \"requested\": {threads}, \"resolved\": {resolved}, \
-             \"wall_seconds\": {:.6} }},\n",
-            run.seconds
-        ));
-    }
-    let rows = rows.trim_end_matches(",\n");
-    format!(
-        "  \"thread_scaling\": {{\n    \"cpus\": {cpus},\n    \"runs\": [\n{}\n  ]\n  }},\n",
-        rows.lines()
-            .map(|l| format!("  {l}"))
-            .collect::<Vec<_>>()
-            .join("\n"),
     )
 }
 
@@ -397,11 +342,11 @@ fn main() {
     let sweep_cfg = sweep_opt_config(Strategy::Opt);
     let synthetic_set = bench_set("synthetic", &synthetic, &sweep_cfg, series);
 
-    // The floor, the PR 5 comparison and the thread-scaling sweep only
-    // mean something for the full-batch protocol: a smoke run's 2-app
-    // timings against the committed 12-app baseline would be apples to
-    // oranges, so smoke artifacts omit all three (CI reads the floor from
-    // the *committed* BENCH_PR6.json, never from its own smoke output).
+    // The floor and the PR 5 comparison only mean something for the
+    // full-batch protocol: a smoke run's 2-app timings against the
+    // committed 12-app baseline would be apples to oranges, so smoke
+    // artifacts omit both (CI reads the floor from the *committed*
+    // BENCH_PR6.json, never from its own smoke output).
     let mut extra = String::new();
     if !smoke {
         extra.push_str(&format!("  \"ci_floor_speedup\": {floor:.3},\n"));
@@ -409,7 +354,6 @@ fn main() {
             &baseline,
             synthetic_set.incremental_seconds,
         ));
-        extra.push_str(&thread_scaling_json(&synthetic, &sweep_cfg, series));
     }
 
     let threads = Threads(0).resolve();

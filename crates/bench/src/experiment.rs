@@ -13,8 +13,7 @@
 use ftes_gen::{generate_instance, ExperimentConfig};
 use ftes_model::Cost;
 use ftes_opt::{
-    design_strategy_budgeted, CoreBudget, DesignOutcome, HardeningPolicy, OptConfig, TabuConfig,
-    Threads, WarmStart,
+    design_strategy, CoreBudget, DesignOutcome, HardeningPolicy, OptConfig, TabuConfig, WarmStart,
 };
 use ftes_sfp::Rounding;
 use serde::{Deserialize, Serialize};
@@ -113,12 +112,10 @@ where
 }
 
 /// [`run_strategy_over`] constrained to a [`CoreBudget`]: the app-level
-/// fan-out claims at most `budget` workers, and whatever the fan-out
-/// leaves per worker is handed down to `design_strategy` as its
-/// [`Threads`](ftes_opt::Threads) knob — so app-level and
-/// architecture-level parallelism share one budget instead of
-/// multiplying (the `threads²` oversubscription hazard). Results are
-/// bit-identical for any budget (both pools reduce deterministically).
+/// fan-out claims at most `budget` workers, each running one sequential
+/// `design_strategy` at a time, so a caller that already fans out (a
+/// matrix cell pool, a server engine slot) never oversubscribes the
+/// machine. Results, counters included, are identical for any budget.
 pub fn run_strategy_over_budgeted<F>(
     generate: F,
     n_apps: usize,
@@ -147,20 +144,14 @@ pub fn run_strategy_over_seeded<F>(
 where
     F: Fn(u64) -> ftes_model::System + Sync,
 {
-    let (threads, per_app) = budget.fan_out(n_apps.max(1));
-    // `Threads(0)` resolves *within* the per-worker remainder budget
-    // (design_strategy_budgeted), never to the whole machine — the
-    // Threads(0)-inside-a-cell over-claim regression.
-    let opt_cfg = OptConfig {
-        threads: Threads(0),
-        ..sweep_opt_config(strategy)
-    };
+    let (workers, _) = budget.fan_out(n_apps.max(1));
+    let opt_cfg = sweep_opt_config(strategy);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<std::sync::Mutex<Option<Option<DesignOutcome>>>> =
         (0..n_apps).map(|_| std::sync::Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 0..workers {
             let (generate, opt_cfg, next, slots) = (&generate, &opt_cfg, &next, &slots);
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -173,7 +164,7 @@ where
                     warm_start,
                     ..opt_cfg.clone()
                 };
-                let outcome = design_strategy_budgeted(&system, &cfg, per_app)
+                let outcome = design_strategy(&system, &cfg)
                     .expect("synthetic systems are structurally valid");
                 *slots[i].lock().unwrap() = Some(outcome);
             });
@@ -275,6 +266,29 @@ mod tests {
         assert_eq!(Strategy::Max.label(), "MAX");
         assert_eq!(Strategy::Opt.label(), "OPT");
         assert_eq!(Strategy::ALL.len(), 3);
+    }
+
+    #[test]
+    fn one_app_design_is_identical_under_any_core_budget() {
+        // A lone application gets the whole budget, and the design run
+        // must not turn spare cores into a different search: solution,
+        // architecture counters and every evaluation counter agree.
+        let condition = ExperimentConfig::default();
+        for seed in 0..6 {
+            let run = |cores| {
+                run_strategy_over_budgeted(
+                    |_| generate_instance(&condition, seed),
+                    1,
+                    Strategy::Opt,
+                    CoreBudget::new(cores),
+                )
+            };
+            let (one, two) = (run(1), run(2));
+            assert_eq!(one, two, "instance {seed}");
+            if let Some(out) = &one[0] {
+                assert_eq!(out.stats.worker_threads, 1, "instance {seed}");
+            }
+        }
     }
 
     #[test]

@@ -51,8 +51,8 @@ pub use experiment::{
 pub use figures::{cruise_controller, fig6a, fig6b, fig6c, fig6d, CcOutcome};
 pub use matrix::{
     cell_json, json_footer, json_header, json_header_with, render_table_row, run_cell,
-    run_cell_budgeted, run_cell_seeded, run_cell_strategy, run_cell_strategy_budgeted,
-    run_cell_strategy_seeded, run_cells, run_cells_streaming, run_matrix, BenchMeta, CellResult,
-    CellSeeds, MatrixReport, MatrixRunConfig, Shard, StrategyCell,
+    run_cell_budgeted, run_cell_seeded, run_cell_strategy_seeded, run_cells, run_cells_streaming,
+    run_matrix, BenchMeta, CellResult, CellSeeds, MatrixReport, MatrixRunConfig, Shard,
+    StrategyCell,
 };
 pub use merge::{merge_shard_texts, merge_shards, parse_shard_doc, read_shard_file, ShardDoc};

@@ -23,10 +23,10 @@
 //! this in-order replay makes the parallel output **bit-identical to the
 //! sequential run for any thread count**.
 //!
-//! One [`CoreBudget`] is shared across all nesting levels — cell pool ×
-//! per-cell application fan-out × `design_strategy` threads — so the
-//! worker product never exceeds the requested parallelism (no `threads²`
-//! oversubscription).
+//! One [`CoreBudget`] is shared across both nesting levels — cell pool ×
+//! per-cell application fan-out, one sequential `design_strategy` per
+//! application — so the worker product never exceeds the requested
+//! parallelism (no `threads²` oversubscription).
 
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
@@ -141,9 +141,9 @@ pub struct MatrixRunConfig {
     /// The maximum architecture cost acceptance is evaluated at.
     pub arc: Cost,
     /// The **total** core budget of the run, shared between the cell
-    /// worker pool, each cell's application fan-out and each design run's
-    /// architecture exploration (`0` = all available cores, `1` = fully
-    /// sequential). Results are bit-identical for any value.
+    /// worker pool and each cell's application fan-out (`0` = all
+    /// available cores, `1` = fully sequential). Results are
+    /// bit-identical for any value.
     pub threads: Threads,
     /// When `Some`, only the cells owned by the shard are run.
     pub shard: Option<Shard>,
@@ -228,18 +228,10 @@ fn warm_start_of(solution: &ftes_opt::Solution) -> WarmStart {
     }
 }
 
-/// Runs one strategy over one cell within a [`CoreBudget`].
-pub fn run_cell_strategy_budgeted(
-    scenario: &Scenario,
-    strategy: Strategy,
-    budget: CoreBudget,
-) -> StrategyCell {
-    run_cell_strategy_seeded(scenario, strategy, budget, None).0
-}
-
-/// [`run_cell_strategy_budgeted`] with optional per-application
-/// [`WarmStart`] seeds, also returning the winning design points so the
-/// caller can store them for future warm starts.
+/// Runs one strategy over one cell within a [`CoreBudget`], seeding
+/// application `i` from `seeds[i]` when present (`None` is the cold
+/// path), and returns the winning design points so the caller can store
+/// them for future warm starts.
 pub fn run_cell_strategy_seeded(
     scenario: &Scenario,
     strategy: Strategy,
@@ -272,11 +264,6 @@ pub fn run_cell_strategy_seeded(
         .map(|o| o.as_ref().map(|o| warm_start_of(&o.solution)))
         .collect();
     (cell, winners)
-}
-
-/// Runs one strategy over one cell on the machine's full core budget.
-pub fn run_cell_strategy(scenario: &Scenario, strategy: Strategy) -> StrategyCell {
-    run_cell_strategy_budgeted(scenario, strategy, CoreBudget::available())
 }
 
 /// Runs every requested strategy over one cell within a [`CoreBudget`].
@@ -799,7 +786,8 @@ mod tests {
         // The (Ideal, Mild, Relaxed) cell is exactly the Fig. 6 default
         // condition: the matrix runner must reproduce run_condition's costs.
         let scenario = tiny_cell();
-        let cell = run_cell_strategy(&scenario, Strategy::Opt);
+        let (cell, _) =
+            run_cell_strategy_seeded(&scenario, Strategy::Opt, CoreBudget::available(), None);
         let reference = crate::experiment::run_condition(
             &ftes_gen::ExperimentConfig::default(),
             scenario.apps,

@@ -80,14 +80,13 @@ pub enum EvalMode {
     Scratch,
 }
 
-/// Worker-thread count for the architecture exploration of
-/// [`design_strategy`](crate::design_strategy).
+/// A requested worker count for a fan-out over independent work: the
+/// scenario-matrix runner's cell pool, the optimization server's engine
+/// budget.
 ///
-/// `Threads(1)` (the default) explores sequentially; `Threads(0)` uses all
-/// available parallelism; any other value pins the pool size. The parallel
-/// exploration reduces candidates deterministically (by cost with the
-/// sequential walk order as tie-break), so the chosen solution does not
-/// depend on thread scheduling.
+/// `Threads(0)` uses all available parallelism; any other value pins the
+/// count. Every such fan-out reduces in a fixed order, so results do not
+/// depend on the value. A design run itself is always sequential.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Threads(pub usize);
 
@@ -101,10 +100,8 @@ impl Threads {
     /// The effective worker count (resolves `0` to the machine's available
     /// parallelism).
     ///
-    /// Only correct at the **top** of a fan-out hierarchy: inside a
-    /// nested pool, resolving `0` to the whole machine over-claims past
-    /// the enclosing budget — use
-    /// [`resolve_within`](Threads::resolve_within) there.
+    /// Only correct at the **top** of a fan-out hierarchy: nested pools
+    /// take their share from [`CoreBudget::fan_out`] instead.
     pub fn resolve(self) -> usize {
         match self.0 {
             0 => std::thread::available_parallelism()
@@ -113,31 +110,18 @@ impl Threads {
             n => n,
         }
     }
-
-    /// The effective worker count under a [`CoreBudget`]: `Threads(0)`
-    /// means "whatever the budget affords" instead of "the whole
-    /// machine", so a `Threads(0)` configuration nested inside a matrix
-    /// cell claims only the cell's share. A pinned `Threads(n)` stays
-    /// `n` (an explicit override is honoured).
-    pub fn resolve_within(self, budget: CoreBudget) -> usize {
-        match self.0 {
-            0 => budget.get(),
-            n => n,
-        }
-    }
 }
 
 /// A core budget shared between nested worker pools.
 ///
-/// Fan-outs nest throughout the stack: the scenario-matrix runner fans
-/// out over cells, each cell fans out over applications
-/// (`run_strategy_over`), and each design run may fan out over
-/// architectures ([`Threads`] in [`OptConfig`]). Naively sizing every
-/// level at `available_parallelism` oversubscribes the machine
-/// quadratically (the `threads²` hazard). A `CoreBudget` is threaded
-/// down instead: every level claims a fan-out with [`fan_out`] and hands
-/// the per-worker remainder to the level below, so the **product** of
-/// live workers across all levels never exceeds the budget.
+/// Fan-outs nest: the scenario-matrix runner fans out over cells, and
+/// each cell fans out over applications (`run_strategy_over`), one
+/// sequential design run per application. Naively sizing every level at
+/// `available_parallelism` oversubscribes the machine quadratically (the
+/// `threads²` hazard). A `CoreBudget` is threaded down instead: every
+/// level claims a fan-out with [`fan_out`] and hands the per-worker
+/// remainder to the level below, so the **product** of live workers
+/// across all levels never exceeds the budget.
 ///
 /// [`fan_out`]: CoreBudget::fan_out
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -168,12 +152,6 @@ impl CoreBudget {
     pub fn fan_out(self, tasks: usize) -> (usize, CoreBudget) {
         let workers = self.0.min(tasks.max(1));
         (workers, CoreBudget::new(self.0 / workers))
-    }
-
-    /// The [`Threads`] knob this budget affords a single nested
-    /// `design_strategy` run.
-    pub fn threads(self) -> Threads {
-        Threads(self.0)
     }
 }
 
@@ -224,8 +202,6 @@ pub struct OptConfig {
     pub max_nodes: Option<usize>,
     /// Candidate-evaluation pipeline (incremental vs from-scratch).
     pub eval_mode: EvalMode,
-    /// Worker threads for the architecture exploration (1 = sequential).
-    pub threads: Threads,
     /// Capacity of the cross-iteration mapping-outcome memo (entries;
     /// `MemoCap(0)` disables memoization — the unmemoized reference
     /// path).
@@ -273,7 +249,6 @@ mod tests {
         assert!(cfg.tabu.max_iterations >= cfg.tabu.max_no_improve);
         assert_eq!(cfg.max_nodes, None);
         assert_eq!(cfg.eval_mode, EvalMode::Incremental);
-        assert_eq!(cfg.threads, Threads(1));
         assert_eq!(cfg.mapping_memo, MemoCap(4096));
         assert_eq!(cfg.warm_start, None);
     }
@@ -283,19 +258,6 @@ mod tests {
         assert_eq!(Threads(1).resolve(), 1);
         assert_eq!(Threads(7).resolve(), 7);
         assert!(Threads(0).resolve() >= 1);
-    }
-
-    #[test]
-    fn threads_resolve_within_respects_the_budget() {
-        // The Threads(0) over-claim regression: inside a CoreBudget,
-        // "all cores" means the budget's share, never the machine.
-        assert_eq!(Threads(0).resolve_within(CoreBudget::new(2)), 2);
-        assert_eq!(Threads(0).resolve_within(CoreBudget::new(1)), 1);
-        // A pinned count is an explicit override and stays pinned.
-        assert_eq!(Threads(3).resolve_within(CoreBudget::new(1)), 3);
-        // Composition: fan-out remainders resolve to their own share.
-        let (workers, inner) = CoreBudget::new(4).fan_out(2);
-        assert_eq!(workers * Threads(0).resolve_within(inner), 4);
     }
 
     #[test]
@@ -316,18 +278,16 @@ mod tests {
     #[test]
     fn core_budget_composes_across_nesting() {
         // The threads² hazard: an outer pool (matrix cells) times an inner
-        // pool (apps per cell) times design_strategy threads must stay
-        // within the original budget for ANY nesting depth.
+        // pool (apps per cell) must stay within the original budget.
         for total in [1usize, 2, 3, 4, 7, 8, 16, 48] {
             for outer_tasks in [1usize, 2, 4, 36, 216] {
                 for inner_tasks in [1usize, 2, 4, 8] {
                     let budget = CoreBudget::new(total);
                     let (cell_workers, per_cell) = budget.fan_out(outer_tasks);
-                    let (app_workers, per_app) = per_cell.fan_out(inner_tasks);
-                    let design_threads = per_app.threads().resolve();
+                    let (app_workers, _) = per_cell.fan_out(inner_tasks);
                     assert!(
-                        cell_workers * app_workers * design_threads <= total,
-                        "{total} cores: {cell_workers} x {app_workers} x {design_threads}"
+                        cell_workers * app_workers <= total,
+                        "{total} cores: {cell_workers} x {app_workers}"
                     );
                 }
             }
@@ -345,7 +305,6 @@ mod tests {
         let (w, inner) = CoreBudget::new(2).fan_out(16);
         assert_eq!(w, 2);
         assert_eq!(inner.get(), 1);
-        assert_eq!(CoreBudget::new(4).threads(), Threads(4));
     }
 
     #[test]

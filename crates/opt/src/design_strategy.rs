@@ -12,32 +12,14 @@
 //!
 //! The paper's MIN and MAX baselines are the same exploration with the
 //! hardening policy pinned (Section 7).
-//!
-//! ## Parallel exploration
-//!
-//! With [`Threads`](crate::config::Threads) ≠ 1, the architectures of each
-//! node count are fanned out across a `std::thread::scope` worker pool
-//! pulling indices from a shared queue, with `Cbest` in an `AtomicU64` so
-//! every worker prunes against the globally best cost found so far. The
-//! result is **bit-identical to the sequential walk** for any thread
-//! count: workers produce per-architecture *hints*, and a deterministic
-//! single-threaded reduce replays the sequential accept/prune/stop walk of
-//! Fig. 5 over them in enumeration order — candidates are ranked by (cost,
-//! walk order), never by arrival order. A worker skips an architecture
-//! only when the skip is provably order-independent (its minimum cost is
-//! at least the batch-start `Cbest`, or strictly above the live atomic);
-//! if the replay nevertheless needs a skipped slot, it evaluates it on the
-//! spot. Evaluation itself is stateless-deterministic, so a hint computed
-//! by any worker equals what the replay would compute inline.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ftes_model::{Architecture, Cost, Mapping, ModelError, NodeTypeId, System};
 use serde::{Deserialize, Serialize};
 
 use crate::arch_iter::architectures_with_n_nodes;
-use crate::config::{CoreBudget, Objective, OptConfig, WarmStart};
+use crate::config::{Objective, OptConfig, WarmStart};
 use crate::evaluation::Solution;
 use crate::incremental::{Candidate, EvalStats, Evaluator};
 use crate::mapping_opt::mapping_algorithm_with;
@@ -50,23 +32,22 @@ pub struct ExplorationStats {
     pub architectures_evaluated: u32,
     /// Architectures skipped by the `Cbest` cost pruning.
     pub architectures_pruned: u32,
-    /// Worker threads the exploration actually ran on — the peak
-    /// architecture-level concurrency (regression anchor for the
-    /// `Threads(0)`-inside-a-`CoreBudget` over-claim).
+    /// Always 1: the walk runs sequentially on the calling thread. Kept
+    /// so readers of the counter set keep compiling.
     pub worker_threads: u32,
     /// Architectures whose tabu search was seeded from a validated
     /// [`WarmStart`] donor (0 on cold runs and when the seed failed
     /// validation or its architecture was never walked).
     pub warm_seeded: u32,
-    /// Candidate-evaluation counters of the incremental engine, summed
-    /// over all workers (these depend on worker timing, unlike the
-    /// architecture counters, which replay the sequential walk exactly).
+    /// Candidate-evaluation counters of the incremental engine. Like the
+    /// architecture counters they are a deterministic function of the
+    /// system and the configuration.
     pub eval: EvalStats,
 }
 
-/// One worker's private search state: the incremental candidate evaluator
-/// plus the cross-iteration mapping-outcome memo. Kept together so both
-/// memo layers persist across every probe the worker runs.
+/// The search state of one exploration: the incremental candidate
+/// evaluator plus the cross-iteration mapping-outcome memo. Kept together
+/// so both memo layers persist across every probe of the walk.
 #[derive(Debug)]
 struct SearchState<'a> {
     evaluator: Evaluator<'a>,
@@ -97,10 +78,10 @@ enum ArchOutcome {
 /// hardening levels, mapping and re-execution budgets minimizing the
 /// architecture cost subject to deadlines and the reliability goal.
 ///
-/// Architectures are explored with `config.threads` workers — the result
-/// is independent of the thread count — and candidates are evaluated
-/// through the incremental engine unless `config.eval_mode` opts into the
-/// from-scratch specification path.
+/// Architectures are walked sequentially, in enumeration order, on the
+/// calling thread, and candidates are evaluated through the incremental
+/// engine unless `config.eval_mode` opts into the from-scratch
+/// specification path.
 ///
 /// Returns `Ok(None)` when no explored architecture yields a schedulable
 /// solution that meets the reliability goal.
@@ -130,31 +111,11 @@ pub fn design_strategy(
     system: &System,
     config: &OptConfig,
 ) -> Result<Option<DesignOutcome>, ModelError> {
-    design_strategy_budgeted(system, config, CoreBudget::available())
-}
-
-/// [`design_strategy`] under an explicit [`CoreBudget`]: `Threads(0)` in
-/// `config` resolves to the **budget's** share instead of the whole
-/// machine, so a design run nested inside an enclosing worker pool (a
-/// matrix cell, an application fan-out) can request "all available
-/// parallelism" without over-claiming past its slice. A pinned
-/// `Threads(n)` is honoured as an explicit override. Results are
-/// bit-identical for any budget.
-///
-/// # Errors
-///
-/// Same as [`design_strategy`].
-pub fn design_strategy_budgeted(
-    system: &System,
-    config: &OptConfig,
-    budget: CoreBudget,
-) -> Result<Option<DesignOutcome>, ModelError> {
     let platform = system.platform();
     let max_nodes = config
         .max_nodes
         .unwrap_or_else(|| platform.node_type_count())
         .max(1);
-    let threads = config.threads.resolve_within(budget).max(1);
     let warm = config
         .warm_start
         .as_ref()
@@ -162,15 +123,13 @@ pub fn design_strategy_budgeted(
 
     let mut best: Option<Arc<Candidate>> = None;
     let mut stats = ExplorationStats {
-        worker_threads: threads as u32,
+        worker_threads: 1,
         ..ExplorationStats::default()
     };
-    let mut workers: Vec<SearchState<'_>> = (0..threads)
-        .map(|_| SearchState {
-            evaluator: Evaluator::new(system, config),
-            memo: RedundancyMemo::from_config(config),
-        })
-        .collect();
+    let mut search = SearchState {
+        evaluator: Evaluator::new(system, config),
+        memo: RedundancyMemo::from_config(config),
+    };
 
     let mut n = 1usize;
     loop {
@@ -182,37 +141,17 @@ pub fn design_strategy_budgeted(
             .iter()
             .map(|types| Architecture::with_min_hardening(types).cost(platform))
             .collect::<Result<_, _>>()?;
-        let cbest_start = best.as_ref().map_or(Cost::MAX, |s| s.cost);
         // The donor seed redirects exactly one tabu start: the slot of
         // this node count whose types equal the donor architecture's (the
         // walk itself — order, pruning, acceptance — is unchanged).
-        let seeded_slot = warm.as_ref().and_then(|(types, mapping)| {
-            (types.len() == n).then(|| {
-                archs
-                    .iter()
-                    .position(|a| a == types)
-                    .map(|i| (i, mapping.clone()))
-            })?
-        });
+        let seeded_slot = warm
+            .as_ref()
+            .filter(|(types, _)| types.len() == n)
+            .and_then(|(types, mapping)| Some((archs.iter().position(|a| a == types)?, mapping)));
 
-        let mut hints: Vec<Option<ArchOutcome>> = if threads > 1 && archs.len() > 1 {
-            explore_batch_parallel(
-                &archs,
-                &min_costs,
-                cbest_start,
-                seeded_slot.as_ref().map(|(i, m)| (*i, m)),
-                &mut workers,
-            )?
-        } else {
-            (0..archs.len()).map(|_| None).collect()
-        };
-
-        // Deterministic reduce: replay the sequential walk of Fig. 5 over
-        // the hints, in enumeration order, evaluating any slot the workers
-        // skipped but the sequential walk needs.
         let mut advance_n = false;
         let mut evaluated_this_n = 0u32;
-        for i in 0..archs.len() {
+        for (i, types) in archs.iter().enumerate() {
             let cbest = best.as_ref().map_or(Cost::MAX, |s| s.cost);
             // Fig. 5 line 6: prune if even the min-hardening cost cannot
             // beat the best-so-far.
@@ -222,18 +161,11 @@ pub fn design_strategy_budgeted(
             }
             stats.architectures_evaluated += 1;
             evaluated_this_n += 1;
-            let seed = match &seeded_slot {
-                Some((si, mapping)) if *si == i => Some(mapping),
-                _ => None,
-            };
+            let seed = seeded_slot.and_then(|(si, mapping)| (si == i).then_some(mapping));
             if seed.is_some() {
                 stats.warm_seeded += 1;
             }
-            let outcome = match hints[i].take() {
-                Some(outcome) => outcome,
-                None => explore_one(&mut workers[0], &archs[i], seed)?,
-            };
-            match outcome {
+            match explore_one(&mut search, types, seed)? {
                 ArchOutcome::Unschedulable => {
                     // Line 15: not schedulable even at the best mapping —
                     // more computation nodes are needed. The remaining
@@ -267,89 +199,16 @@ pub fn design_strategy_budgeted(
         }
     }
 
-    for worker in &workers {
-        stats.eval.merge(worker.evaluator.stats());
-        stats.eval.mapping_memo_hits += worker.memo.hits();
-        stats.eval.mapping_memo_misses += worker.memo.misses();
-    }
+    stats.eval = search.evaluator.stats();
+    stats.eval.mapping_memo_hits += search.memo.hits();
+    stats.eval.mapping_memo_misses += search.memo.misses();
     // Materialize the winning candidate's full schedule once, at the very
     // end — probe evaluations only ever carried the schedulability verdict.
     let best = match best {
-        Some(candidate) => Some(workers[0].evaluator.materialize(&candidate)?),
+        Some(candidate) => Some(search.evaluator.materialize(&candidate)?),
         None => None,
     };
     Ok(best.map(|solution| DesignOutcome { solution, stats }))
-}
-
-/// Fans one node-count batch out across a worker pool. Returns one hint
-/// per architecture in enumeration order; `None` marks slots a worker
-/// skipped (cost-pruned or past a discovered line-15 stop), which the
-/// reduce re-derives or evaluates inline as needed.
-fn explore_batch_parallel(
-    archs: &[Vec<NodeTypeId>],
-    min_costs: &[Cost],
-    cbest_start: Cost,
-    seeded_slot: Option<(usize, &Mapping)>,
-    workers: &mut [SearchState<'_>],
-) -> Result<Vec<Option<ArchOutcome>>, ModelError> {
-    // Fig. 5 line 6 across threads: the shared best-so-far cost. Workers
-    // lower it as candidates complete and prune against it.
-    let cbest_atomic = AtomicU64::new(cbest_start.units());
-    let next = AtomicUsize::new(0);
-    // Lowest index seen unschedulable so far: the sequential walk stops
-    // there, so later slots are (heuristically) not worth exploring.
-    let truncate_at = AtomicUsize::new(usize::MAX);
-    let slots: Vec<Mutex<Option<Result<ArchOutcome, ModelError>>>> =
-        (0..archs.len()).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for worker in workers.iter_mut() {
-            let slots = &slots;
-            let next = &next;
-            let truncate_at = &truncate_at;
-            let cbest_atomic = &cbest_atomic;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= archs.len() {
-                    break;
-                }
-                if i > truncate_at.load(Ordering::Acquire) {
-                    continue;
-                }
-                // Skip only when order-independent: at or above the
-                // batch-start bound (the sequential walk prunes against a
-                // Cbest at least this good), or strictly above the live
-                // atomic (any candidate would be strictly worse than the
-                // final best). Indices are handed out in order, so the
-                // live bound only ever reflects earlier slots — exactly
-                // what the sequential walk would have seen.
-                let live = Cost::new(cbest_atomic.load(Ordering::Relaxed));
-                if min_costs[i] >= cbest_start || min_costs[i] > live {
-                    continue;
-                }
-                let seed = match seeded_slot {
-                    Some((si, mapping)) if si == i => Some(mapping),
-                    _ => None,
-                };
-                let outcome = explore_one(worker, &archs[i], seed);
-                match &outcome {
-                    Ok(ArchOutcome::Unschedulable) => {
-                        truncate_at.fetch_min(i, Ordering::Release);
-                    }
-                    Ok(ArchOutcome::Evaluated(Some(candidate))) if candidate.is_schedulable() => {
-                        cbest_atomic.fetch_min(candidate.cost.units(), Ordering::Relaxed);
-                    }
-                    _ => {}
-                }
-                *slots[i].lock().unwrap() = Some(outcome);
-            });
-        }
-    });
-
-    slots
-        .iter()
-        .map(|slot| slot.lock().unwrap().take().transpose())
-        .collect()
 }
 
 /// Validates a [`WarmStart`] against the system the exploration runs on:
@@ -383,11 +242,11 @@ fn validated_warm_start(system: &System, seed: &WarmStart) -> Option<(Vec<NodeTy
 /// when present, replaces the greedy initial mapping of the
 /// schedule-length tabu pass with a validated warm-start donor mapping.
 fn explore_one(
-    worker: &mut SearchState<'_>,
+    search: &mut SearchState<'_>,
     types: &[NodeTypeId],
     seed: Option<&Mapping>,
 ) -> Result<ArchOutcome, ModelError> {
-    let SearchState { evaluator, memo } = worker;
+    let SearchState { evaluator, memo } = search;
     let base = Architecture::with_min_hardening(types);
     // Line 7: shortest schedule for the best mapping.
     let Some(sl_out) = mapping_algorithm_with(
@@ -418,7 +277,6 @@ fn explore_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Threads;
     use ftes_model::{paper, HLevel, NodeId, TimeUs};
 
     #[test]
@@ -540,71 +398,6 @@ mod tests {
         assert_eq!(out.solution.architecture.node_count(), 1);
     }
 
-    #[test]
-    fn threads_zero_under_a_core_budget_never_overclaims() {
-        // The Threads(0) over-claim regression: "all cores" inside a
-        // 2-core budget must spawn at most 2 architecture workers (peak
-        // concurrency == worker_threads: workers are the only source of
-        // parallelism in the exploration), regardless of how many cores
-        // the machine has. The result stays bit-identical.
-        use crate::config::CoreBudget;
-        let sys = paper::fig1_system();
-        let config = OptConfig {
-            threads: Threads(0),
-            ..OptConfig::default()
-        };
-        let budgeted = design_strategy_budgeted(&sys, &config, CoreBudget::new(2))
-            .unwrap()
-            .expect("feasible");
-        assert!(
-            budgeted.stats.worker_threads <= 2,
-            "claimed {} workers under a 2-core budget",
-            budgeted.stats.worker_threads
-        );
-        let sequential = design_strategy(&sys, &OptConfig::default())
-            .unwrap()
-            .expect("feasible");
-        assert_eq!(budgeted.solution, sequential.solution);
-        // A pinned thread count is an explicit override and is honoured.
-        let pinned = OptConfig {
-            threads: Threads(3),
-            ..OptConfig::default()
-        };
-        let out = design_strategy_budgeted(&sys, &pinned, CoreBudget::new(1))
-            .unwrap()
-            .expect("feasible");
-        assert_eq!(out.stats.worker_threads, 3);
-    }
-
-    #[test]
-    fn parallel_exploration_matches_sequential_exactly() {
-        for system in [paper::fig1_system(), paper::fig3_system()] {
-            let seq = design_strategy(&system, &OptConfig::default()).unwrap();
-            for threads in [2, 4, 0] {
-                let config = OptConfig {
-                    threads: Threads(threads),
-                    ..OptConfig::default()
-                };
-                let par = design_strategy(&system, &config).unwrap();
-                match (&seq, &par) {
-                    (Some(s), Some(p)) => {
-                        assert_eq!(s.solution, p.solution, "threads={threads}");
-                        assert_eq!(
-                            s.stats.architectures_evaluated, p.stats.architectures_evaluated,
-                            "threads={threads}"
-                        );
-                        assert_eq!(
-                            s.stats.architectures_pruned, p.stats.architectures_pruned,
-                            "threads={threads}"
-                        );
-                    }
-                    (None, None) => {}
-                    other => panic!("divergent feasibility: {other:?}"),
-                }
-            }
-        }
-    }
-
     /// The donor design point of a finished run, as the server's cache
     /// would record it.
     fn warm_start_of(sol: &Solution) -> WarmStart {
@@ -652,38 +445,6 @@ mod tests {
         assert!(sfp.meets_goal);
         // Seeding with the run's own winner reproduces it exactly.
         assert_eq!(warm.solution, cold.solution);
-    }
-
-    #[test]
-    fn warm_start_is_deterministic_across_thread_counts() {
-        let sys = paper::fig1_system();
-        let cold = design_strategy(&sys, &OptConfig::default())
-            .unwrap()
-            .expect("feasible");
-        let seed = warm_start_of(&cold.solution);
-        let seq = design_strategy(
-            &sys,
-            &OptConfig {
-                warm_start: Some(seed.clone()),
-                ..OptConfig::default()
-            },
-        )
-        .unwrap()
-        .expect("feasible");
-        for threads in [2, 4, 0] {
-            let par = design_strategy(
-                &sys,
-                &OptConfig {
-                    warm_start: Some(seed.clone()),
-                    threads: Threads(threads),
-                    ..OptConfig::default()
-                },
-            )
-            .unwrap()
-            .expect("feasible");
-            assert_eq!(par.solution, seq.solution, "threads={threads}");
-            assert_eq!(par.stats.warm_seeded, seq.stats.warm_seeded);
-        }
     }
 
     #[test]

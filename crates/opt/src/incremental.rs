@@ -172,32 +172,13 @@ pub struct EvalStats {
     pub arena_reuses: u64,
 }
 
-impl EvalStats {
-    /// Merges another evaluator's counters (used when several workers each
-    /// own an evaluator).
-    pub fn merge(&mut self, other: EvalStats) {
-        self.evaluations += other.evaluations;
-        self.sfp_nodes_computed += other.sfp_nodes_computed;
-        self.sfp_nodes_reused += other.sfp_nodes_reused;
-        self.series_memo_hits += other.series_memo_hits;
-        self.series_computed += other.series_computed;
-        self.priority_recomputed += other.priority_recomputed;
-        self.priority_reused += other.priority_reused;
-        self.mapping_memo_hits += other.mapping_memo_hits;
-        self.mapping_memo_misses += other.mapping_memo_misses;
-        self.batched_probes += other.batched_probes;
-        self.arena_reuses += other.arena_reuses;
-    }
-}
-
 /// Stateful candidate evaluator shared across the probes of one search.
 ///
-/// Construct once per search (or per worker thread) and feed every
-/// candidate through [`evaluate`](Evaluator::evaluate); the evaluator
-/// carries the incremental SFP, priority and scheduling state and the
-/// candidate arena across probes. In [`EvalMode::Scratch`] it degrades to
-/// calling [`evaluate_fixed`] per probe, bit-identically but without any
-/// reuse.
+/// Construct once per search and feed every candidate through
+/// [`evaluate`](Evaluator::evaluate); the evaluator carries the
+/// incremental SFP, priority and scheduling state and the candidate arena
+/// across probes. In [`EvalMode::Scratch`] it degrades to calling
+/// [`evaluate_fixed`] per probe, bit-identically but without any reuse.
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     system: &'a System,

@@ -21,11 +21,11 @@
 //!
 //! Candidates are evaluated through the incremental engine ([`Evaluator`]:
 //! one-node-delta SFP re-analysis via [`ftes_sfp::SystemSfp`] feeding a
-//! delta-maintained priority cache and a flat list-scheduling walk), and
-//! the architecture exploration optionally fans out across a worker pool
-//! ([`Threads`]) with shared atomic `Cbest` pruning. Both are bit-identical to the
-//! from-scratch sequential pipeline, which remains selectable as the
-//! executable specification via [`EvalMode::Scratch`].
+//! delta-maintained priority cache and a flat list-scheduling walk),
+//! bit-identically to the from-scratch pipeline, which remains selectable
+//! as the executable specification via [`EvalMode::Scratch`]. The
+//! architecture exploration is one sequential walk; parallelism lives one
+//! level up, where independent designs fan out under a [`CoreBudget`].
 //!
 //! ## Example
 //!
@@ -58,9 +58,7 @@ pub use config::{
     CoreBudget, EvalMode, HardeningPolicy, MaxK, MemoCap, Objective, OptConfig, TabuConfig,
     Threads, WarmStart,
 };
-pub use design_strategy::{
-    design_strategy, design_strategy_budgeted, DesignOutcome, ExplorationStats,
-};
+pub use design_strategy::{design_strategy, DesignOutcome, ExplorationStats};
 pub use evaluation::{evaluate_fixed, Solution};
 pub use fixed_arch::optimize_fixed_architecture;
 pub use incremental::{Candidate, EvalStats, Evaluator};

@@ -285,10 +285,12 @@ fn concurrent_identical_requests_coalesce_onto_one_engine_run() {
     assert_eq!(stats.misses, engine_runs + joined);
     assert_eq!(stats.coalesced, joined);
     assert!(engine_runs >= 1, "{labels:?}");
-    // The slot gate caps the engine at one concurrent run; coalescing
-    // means racers join it instead of queueing behind it, so a burst of
-    // identical requests never runs the engine once each.
-    assert!(engine_runs < N as u64, "{labels:?}");
+    // How many racers reach the server while the leader's engine run is
+    // still going is up to thread scheduling, so the split between
+    // engine runs and coalesced joins is not asserted here. That
+    // identical concurrent misses share exactly one engine run is forced
+    // in-crate by `server::tests::concurrent_identical_misses_share_exactly_one_compute`,
+    // which holds its leader until every follower has joined.
 }
 
 /// Serves 5 fresh-connection `stats` requests and a `shutdown` on a

@@ -8,12 +8,12 @@
 //! * `Evaluator` (incremental SFP, flat scheduling kernel) against
 //!   `evaluate_fixed` on search-shaped probe sequences (hardening steps,
 //!   re-mapping moves) over random systems from `ftes-gen`;
-//! * parallel `design_strategy` against the sequential walk on random
-//!   systems — same solution, same stats totals, any thread count;
+//! * incremental `design_strategy` against the scratch pipeline on random
+//!   systems — same solution, same architecture walk;
 //! * the whole engine over the scenario space (TDMA buses, heterogeneous
-//!   platforms, tight deadlines): incremental ≡ scratch, parallel ≡
-//!   sequential, and `Scheduler::run_light` ≡ `Scheduler::run` — the
-//!   light walk prices TDMA bus slots identically to the full scheduler.
+//!   platforms, tight deadlines): incremental ≡ scratch, and
+//!   `Scheduler::run_light` ≡ `Scheduler::run` — the light walk prices
+//!   TDMA bus slots identically to the full scheduler.
 
 use ftes::gen::{generate_instance, ExperimentConfig};
 use ftes::model::{
@@ -21,7 +21,7 @@ use ftes::model::{
 };
 use ftes::opt::{
     design_strategy, evaluate_fixed, initial_mapping, Candidate, EvalMode, Evaluator, OptConfig,
-    TabuConfig, Threads,
+    TabuConfig,
 };
 use ftes::sfp::{analyze, NodeSfp, ReExecutionOpt, Rounding, SystemSfp};
 use proptest::prelude::*;
@@ -218,49 +218,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Parallel design_strategy ≡ sequential design_strategy
+// Incremental design_strategy ≡ scratch design_strategy
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn parallel_design_strategy_matches_sequential(
-        index in 0u64..4,
-        ser_pick in 0u8..3,
-        hpd_pick in 0u8..3,
-        threads in prop_oneof![Just(2usize), Just(3), Just(8), Just(0)],
-    ) {
-        let system = generate_instance(
-            &condition(ser_pick, hpd_pick, ExperimentConfig::default().seed),
-            index,
-        );
-        let sequential_cfg = quick_config();
-        let parallel_cfg = OptConfig { threads: Threads(threads), ..sequential_cfg.clone() };
-
-        let sequential = design_strategy(&system, &sequential_cfg).unwrap();
-        let parallel = design_strategy(&system, &parallel_cfg).unwrap();
-
-        match (&sequential, &parallel) {
-            (None, None) => {}
-            (Some(s), Some(p)) => {
-                // Same cost and schedulability — in fact the identical
-                // solution — and the same exploration stats totals.
-                prop_assert_eq!(s.solution.cost, p.solution.cost);
-                prop_assert_eq!(s.solution.is_schedulable(), p.solution.is_schedulable());
-                prop_assert_eq!(&s.solution, &p.solution);
-                prop_assert_eq!(
-                    s.stats.architectures_evaluated + s.stats.architectures_pruned,
-                    p.stats.architectures_evaluated + p.stats.architectures_pruned
-                );
-                prop_assert_eq!(
-                    s.stats.architectures_evaluated,
-                    p.stats.architectures_evaluated
-                );
-            }
-            other => prop_assert!(false, "divergent feasibility: {:?}", other),
-        }
-    }
 
     #[test]
     fn incremental_design_strategy_matches_scratch(
@@ -391,40 +353,32 @@ proptest! {
         }
     }
 
-    /// Parallel ≡ sequential and incremental ≡ scratch `design_strategy`
-    /// on TDMA/heterogeneous cells.
+    /// Incremental ≡ scratch `design_strategy` on TDMA/heterogeneous
+    /// cells.
     #[test]
     fn design_strategy_is_mode_invariant_on_scenario_space(
         index in 0u64..3,
         bus_pick in 1u8..3,    // always a TDMA bus: the new axis
         plat_pick in 0u8..3,
         util_pick in 0u8..2,
-        threads in prop_oneof![Just(2usize), Just(4), Just(0)],
     ) {
         let cell = scenario_cell(bus_pick, plat_pick, util_pick, 0xF7E5);
         let system = cell.generate(index);
-        let sequential_cfg = quick_config();
-        let parallel_cfg = OptConfig { threads: Threads(threads), ..sequential_cfg.clone() };
-        let scratch_cfg = OptConfig { eval_mode: EvalMode::Scratch, ..sequential_cfg.clone() };
+        let incremental_cfg = quick_config();
+        let scratch_cfg = OptConfig { eval_mode: EvalMode::Scratch, ..incremental_cfg.clone() };
 
-        let sequential = design_strategy(&system, &sequential_cfg).unwrap();
-        let parallel = design_strategy(&system, &parallel_cfg).unwrap();
+        let incremental = design_strategy(&system, &incremental_cfg).unwrap();
         let scratch = design_strategy(&system, &scratch_cfg).unwrap();
 
-        match (&sequential, &parallel, &scratch) {
-            (None, None, None) => {}
-            (Some(s), Some(p), Some(f)) => {
-                prop_assert_eq!(&s.solution, &p.solution);
+        match (&incremental, &scratch) {
+            (None, None) => {}
+            (Some(s), Some(f)) => {
                 prop_assert_eq!(&s.solution, &f.solution);
-                prop_assert_eq!(
-                    s.stats.architectures_evaluated,
-                    p.stats.architectures_evaluated
-                );
-                prop_assert_eq!(s.stats.architectures_pruned, p.stats.architectures_pruned);
                 prop_assert_eq!(
                     s.stats.architectures_evaluated,
                     f.stats.architectures_evaluated
                 );
+                prop_assert_eq!(s.stats.architectures_pruned, f.stats.architectures_pruned);
             }
             other => prop_assert!(false, "divergent feasibility: {:?}", other),
         }
