@@ -74,6 +74,7 @@
 
 use std::io::Write as _;
 
+use ftes_bench::cli::{parse_value, resolve_addr, take_value, write_addr_file};
 use ftes_bench::dist::{
     load_journal, matrix_fingerprint, run_dist_local_opts, ChaosPlan, Coordinator, Journal,
     LocalWorkerSpec, RunOpts,
@@ -148,29 +149,6 @@ impl Default for Cli {
 enum Mode {
     Merge { out: String, files: Vec<String> },
     Run(Box<Cli>),
-}
-
-/// The flag's value argument, or a one-line error naming the flag.
-fn take_value(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    expected: &str,
-) -> Result<String, String> {
-    args.next()
-        .ok_or_else(|| format!("{flag}: missing value (expected {expected})"))
-}
-
-/// The flag's value argument parsed as `T`; a missing *or malformed*
-/// value is a one-line error naming the flag — malformed numbers must
-/// never fall through to a default silently.
-fn parse_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    expected: &str,
-) -> Result<T, String> {
-    let v = take_value(args, flag, expected)?;
-    v.parse()
-        .map_err(|_| format!("{flag}: invalid value {v:?} (expected {expected})"))
 }
 
 /// Parses and validates the whole command line. Every rejection — an
@@ -357,39 +335,6 @@ fn run_merge(out: &str, files: &[String]) -> ! {
     }
 }
 
-/// Resolves a `--worker` address argument: either a literal `host:port`
-/// or `@PATH`, polling the file a coordinator's `--addr-file` writes
-/// (briefly, so a worker started a moment before its coordinator still
-/// connects). Content that does not parse as a socket address — e.g. a
-/// half-written file from a non-atomic writer — is treated as not yet
-/// there, never handed to the connect loop.
-fn resolve_worker_addr(spec: &str) -> Result<String, String> {
-    let Some(path) = spec.strip_prefix('@') else {
-        return Ok(spec.to_string());
-    };
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(15);
-    loop {
-        match std::fs::read_to_string(path) {
-            Ok(s) if s.trim().parse::<std::net::SocketAddr>().is_ok() => {
-                return Ok(s.trim().to_string());
-            }
-            _ if std::time::Instant::now() >= deadline => {
-                return Err(format!("no coordinator address appeared in {path}"));
-            }
-            _ => std::thread::sleep(std::time::Duration::from_millis(100)),
-        }
-    }
-}
-
-/// Publishes the coordinator address atomically: write to a sibling temp
-/// file, then rename into place — a polling worker never observes a
-/// truncated address.
-fn write_addr_file(path: &str, addr: std::net::SocketAddr) -> std::io::Result<()> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, format!("{addr}\n"))?;
-    std::fs::rename(&tmp, path)
-}
-
 /// The `--worker` mode: serve leases until the coordinator says
 /// shutdown. Exit code 0 covers both a clean shutdown and an injected
 /// chaos kill (a *successful* fault injection — CI teardown counts on
@@ -402,7 +347,7 @@ fn run_worker_mode(
     chaos: ChaosPlan,
     seed: u64,
 ) -> ! {
-    let addr = resolve_worker_addr(addr_spec).unwrap_or_else(|e| {
+    let addr = resolve_addr(addr_spec).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(4);
     });

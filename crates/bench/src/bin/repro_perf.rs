@@ -13,7 +13,7 @@
 //! machine-readable JSON so future PRs can compare against it.
 //!
 //! ```text
-//! repro_perf [--smoke] [--apps N] [--series N] [--out PATH] [--bench-pr6]
+//! repro_perf [--smoke] [--apps N] [--series N] [--out PATH]
 //!            [--baseline PATH] [--floor X] [--check-floor PATH]
 //! ```
 //!
@@ -30,14 +30,17 @@
 //! * `--smoke` shrinks the batch to 2 applications and 1 series for CI
 //!   (the harness is exercised end to end; the timings are not
 //!   meaningful).
-//! * `--bench-pr6` is the explicit spelling of the default mode.
 //! * `--check-floor PATH` reads `ci_floor_speedup` from a committed
 //!   `BENCH_PR6.json` and exits non-zero when this run's synthetic
 //!   incremental-vs-scratch speedup falls below it — the CI perf-smoke
 //!   regression gate.
+//!
+//! A missing or malformed flag value prints a one-line error naming the
+//! flag, then the usage, and exits 2.
 
 use std::time::Instant;
 
+use ftes_bench::cli::{parse_value, take_value};
 use ftes_bench::sweep_opt_config;
 use ftes_bench::Strategy;
 use ftes_gen::{generate_instance, ExperimentConfig};
@@ -229,7 +232,7 @@ fn json_number(text: &str, path: &[&str]) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// The `--bench-pr6` comparison block: this run's synthetic incremental
+/// The comparison block: this run's synthetic incremental
 /// engine against the committed PR 5 trajectory.
 fn comparison_json(baseline_path: &str, pr6_incremental_seconds: f64) -> String {
     let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
@@ -263,67 +266,68 @@ fn comparison_json(baseline_path: &str, pr6_incremental_seconds: f64) -> String 
     )
 }
 
-fn main() {
-    let mut smoke = false;
-    let mut apps = 12usize;
-    let mut series = 3usize;
-    let mut out: Option<String> = None;
-    let mut baseline = "BENCH_PR5.json".to_string();
-    let mut floor = 1.5f64;
-    let mut check_floor: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+/// The usage block printed (to stderr) with every CLI error.
+const USAGE: &str = "usage: repro_perf [--smoke] [--apps N] [--series N] [--out PATH] \
+     [--baseline PATH] [--floor X] [--check-floor PATH]";
+
+/// A parsed command line.
+#[derive(Debug, Clone, PartialEq)]
+struct Cli {
+    smoke: bool,
+    apps: usize,
+    series: usize,
+    out: Option<String>,
+    baseline: String,
+    floor: f64,
+    check_floor: Option<String>,
+}
+
+/// Parses the whole command line. Every rejection — an unknown flag, a
+/// missing or malformed value — is a one-line error; the caller prints
+/// it plus [`USAGE`] and exits 2.
+fn parse_cli(raw: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        smoke: false,
+        apps: 12,
+        series: 3,
+        out: None,
+        baseline: "BENCH_PR5.json".to_string(),
+        floor: 1.5,
+        check_floor: None,
+    };
+    let mut args = raw.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => smoke = true,
-            // PR 6 is the only mode; the flag is kept as its explicit
-            // spelling. (There is deliberately no way to regenerate
-            // BENCH_PR5.json — it is the frozen baseline the comparison
-            // block reads.)
-            "--bench-pr6" => {}
-            "--apps" => {
-                apps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--apps needs a number");
-            }
-            "--series" => {
-                series = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--series needs a number");
-            }
-            "--out" => {
-                out = Some(args.next().expect("--out needs a path"));
-            }
-            "--baseline" => {
-                baseline = args.next().expect("--baseline needs a path");
-            }
-            "--floor" => {
-                floor = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--floor needs a number");
-            }
+            "--smoke" => cli.smoke = true,
+            "--apps" => cli.apps = parse_value(&mut args, "--apps", "an application count")?,
+            "--series" => cli.series = parse_value(&mut args, "--series", "a run count")?,
+            "--out" => cli.out = Some(take_value(&mut args, "--out", "a path")?),
+            "--baseline" => cli.baseline = take_value(&mut args, "--baseline", "a path")?,
+            "--floor" => cli.floor = parse_value(&mut args, "--floor", "a speedup ratio")?,
             "--check-floor" => {
-                check_floor = Some(args.next().expect("--check-floor needs a path"));
+                cli.check_floor = Some(take_value(&mut args, "--check-floor", "a path")?);
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!(
-                    "usage: repro_perf [--smoke] [--apps N] [--series N] [--out PATH] \
-                     [--bench-pr6] [--baseline PATH] [--floor X] [--check-floor PATH]"
-                );
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    if smoke {
-        apps = apps.min(2);
-        series = 1;
-    }
-    let series = series.max(1);
+    Ok(cli)
+}
+
+fn main() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_cli(&raw).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
+    let smoke = cli.smoke;
+    let (apps, series) = if smoke {
+        (cli.apps.min(2), 1)
+    } else {
+        (cli.apps, cli.series.max(1))
+    };
     let pr = 6u32;
-    let out = out.unwrap_or_else(|| format!("BENCH_PR{pr}.json"));
+    let out = cli.out.unwrap_or_else(|| format!("BENCH_PR{pr}.json"));
 
     // The paper's two walked examples, at the paper's configuration.
     let paper_systems = vec![
@@ -349,9 +353,9 @@ fn main() {
     // BENCH_PR6.json, never from its own smoke output).
     let mut extra = String::new();
     if !smoke {
-        extra.push_str(&format!("  \"ci_floor_speedup\": {floor:.3},\n"));
+        extra.push_str(&format!("  \"ci_floor_speedup\": {:.3},\n", cli.floor));
         extra.push_str(&comparison_json(
-            &baseline,
+            &cli.baseline,
             synthetic_set.incremental_seconds,
         ));
     }
@@ -366,7 +370,7 @@ fn main() {
     println!("{json}");
     eprintln!("wrote {out}");
 
-    if let Some(path) = check_floor {
+    if let Some(path) = cli.check_floor {
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("--check-floor: cannot read {path}: {e}"));
         let committed_floor = json_number(&committed, &["ci_floor_speedup"])
@@ -380,5 +384,55 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("perf floor ok: {measured:.2}x >= {committed_floor:.2}x (from {path})");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_cli(&raw)
+    }
+
+    #[test]
+    fn flags_parse_onto_the_defaults() {
+        let cli = parse(&["--smoke", "--apps", "4", "--check-floor", "BENCH_PR6.json"]).unwrap();
+        assert!(cli.smoke);
+        assert_eq!(cli.apps, 4);
+        assert_eq!(cli.series, 3);
+        assert_eq!(cli.baseline, "BENCH_PR5.json");
+        assert_eq!(cli.check_floor.as_deref(), Some("BENCH_PR6.json"));
+        assert!(parse(&["--bench-pr6"]).unwrap_err().contains("unknown"));
+    }
+
+    #[test]
+    fn malformed_values_error_naming_the_flag() {
+        for (args, flag) in [
+            (&["--apps", "x"][..], "--apps"),
+            (&["--series", "-1"][..], "--series"),
+            (&["--floor", "fast"][..], "--floor"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with(flag), "{args:?} error {err:?}");
+            assert!(err.contains("invalid value"), "{args:?} error {err:?}");
+        }
+    }
+
+    #[test]
+    fn missing_values_error_instead_of_panicking() {
+        for flag in [
+            "--apps",
+            "--series",
+            "--out",
+            "--baseline",
+            "--floor",
+            "--check-floor",
+        ] {
+            let err = parse(&[flag]).unwrap_err();
+            assert!(err.starts_with(flag), "{flag} error {err:?}");
+            assert!(err.contains("missing value"), "{flag} error {err:?}");
+        }
     }
 }

@@ -10,12 +10,12 @@
 //!
 //! ## Record format
 //!
-//! Line-delimited flat JSON, the same idiom as the wire protocol
-//! ([`super::protocol`]) and the shard-merge documents: one record per
-//! `\n`-terminated line, no nesting, payloads travel as escaped
-//! strings. Every record ends in a `crc` field holding the FNV-1a-64
-//! checksum (lowercase hex, [`checksum`]) of everything before
-//! `,"crc":` on that line:
+//! Line-delimited flat JSON, read by the same strict parser as the wire
+//! protocol ([`parse_object`]): one record per `\n`-terminated line, no
+//! nesting, payloads travel as escaped strings, and a duplicate,
+//! unknown, missing or mistyped key makes the record bad. Every record
+//! ends in a `crc` field holding the FNV-1a-64 checksum (lowercase hex,
+//! [`checksum`]) of everything before `,"crc":` on that line:
 //!
 //! ```text
 //! {"journal":"repro_matrix","v":1,"fingerprint":"<hex>","engine":1,"cells":16,"crc":"<hex>"}
@@ -53,7 +53,9 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 
-use super::protocol::{checksum, json_escape, num_field, str_field};
+use super::protocol::{
+    checksum, json_escape, need_int, need_str, parse_object, reject_unknown, take_int, take_str,
+};
 use crate::merge::{read_file_bytes, utf8_or_error};
 
 /// Journal format version; bumped on any incompatible record change.
@@ -206,37 +208,41 @@ enum Record {
 /// Parses and checksum-verifies one record line (without its trailing
 /// newline). Any error here on the *final* line means a torn tail.
 fn parse_record(line: &str) -> Result<Record, String> {
-    let at = line
-        .rfind(",\"crc\":\"")
-        .ok_or("missing crc field".to_string())?;
-    if !line.ends_with("\"}") {
-        return Err("unterminated crc field".to_string());
-    }
-    let body = &line[..at];
-    let crc = &line[at + ",\"crc\":\"".len()..line.len() - "\"}".len()];
+    let mut fields = parse_object(line)?;
+    let crc = need_str(&mut fields, "crc")?;
+    let body = line
+        .strip_suffix("\"}")
+        .and_then(|l| l.strip_suffix(crc.as_str()))
+        .and_then(|l| l.strip_suffix(",\"crc\":\""))
+        .ok_or("crc is not the last field")?;
     if crc != checksum(body) {
         return Err("record checksum mismatch".to_string());
     }
-    if body.starts_with("{\"journal\"") {
-        let v: u32 = num_field(line, "v")?;
+    let record = if let Some(kind) = take_str(&mut fields, "journal")? {
+        if kind != "repro_matrix" {
+            return Err(format!("unknown journal kind {kind:?}"));
+        }
+        let v: u32 = need_int(&mut fields, "v")?;
         if v != JOURNAL_VERSION {
             return Err(format!("journal version {v} != {JOURNAL_VERSION}"));
         }
-        Ok(Record::Header {
-            fingerprint: str_field(line, "fingerprint")?,
-            engine: num_field(line, "engine")?,
-            cells: num_field(line, "cells")?,
-        })
-    } else if body.starts_with("{\"cell\"") {
-        Ok(Record::Cell {
-            cell: num_field(line, "cell")?,
-            payload: str_field(line, "payload")?,
-        })
-    } else if body.starts_with("{\"epoch\"") {
-        Ok(Record::Epoch(num_field(line, "epoch")?))
+        Record::Header {
+            fingerprint: need_str(&mut fields, "fingerprint")?,
+            engine: need_int(&mut fields, "engine")?,
+            cells: need_int(&mut fields, "cells")?,
+        }
+    } else if let Some(cell) = take_int(&mut fields, "cell")? {
+        Record::Cell {
+            cell,
+            payload: need_str(&mut fields, "payload")?,
+        }
+    } else if let Some(epoch) = take_int(&mut fields, "epoch")? {
+        Record::Epoch(epoch)
     } else {
-        Err("unknown record kind".to_string())
-    }
+        return Err("unknown record kind".to_string());
+    };
+    reject_unknown(&fields, "journal record")?;
+    Ok(record)
 }
 
 /// Replays a journal without modifying it: verifies the header guard
@@ -483,6 +489,20 @@ mod tests {
         let err = load_journal(&path, FP, 1, 3).unwrap_err();
         assert!(err.contains("corrupt interior record"), "{err}");
         assert!(err.contains("line 2"), "{err}");
+        // A record whose checksum is right but which carries a
+        // duplicate key is just as bad: an error in the interior, a
+        // torn tail at the end.
+        let lines: Vec<&str> = text.lines().collect();
+        let dup = seal("{\"cell\":1,\"cell\":2,\"payload\":\"dup\"");
+        std::fs::write(&path, format!("{}\n{dup}{}\n", lines[0], lines[1])).unwrap();
+        let err = load_journal(&path, FP, 1, 3).unwrap_err();
+        assert!(err.contains("corrupt interior record"), "{err}");
+        assert!(err.contains("line 2"), "{err}");
+        std::fs::write(&path, format!("{}\n{}\n{dup}", lines[0], lines[1])).unwrap();
+        let replay = load_journal(&path, FP, 1, 3).unwrap();
+        assert_eq!(replay.payloads.len(), 1);
+        assert_eq!(replay.payloads[&0], "alpha");
+        assert_eq!(replay.truncated_bytes as usize, dup.len());
         std::fs::remove_file(&path).ok();
     }
 

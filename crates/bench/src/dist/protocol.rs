@@ -2,11 +2,17 @@
 //!
 //! Frames are **line-delimited flat JSON objects** over TCP — one frame
 //! per `\n`-terminated line, no nesting (a cell's rendered JSON travels
-//! as an *escaped string* payload), hand-rendered and hand-parsed like
-//! the shard-merge tooling in [`crate::merge`] (std-only, per the
+//! as an *escaped string* payload), hand-rendered (std-only, per the
 //! real-deps constraint). Every `result` frame carries an FNV-1a
 //! checksum of its payload so a corrupted or truncated frame is detected
 //! before its bytes can reach the merged document.
+//!
+//! This module also holds the workspace's one flat-JSON line parser,
+//! [`parse_object`], and its typed field helpers. Frames, the
+//! coordinator's journal records ([`super::journal`]), and the server's
+//! requests, responses and cache-entry headers all go through it, so
+//! every line format rejects duplicate, unknown, missing and mistyped
+//! keys and trailing garbage the same way.
 //!
 //! ```text
 //! worker → coordinator
@@ -154,94 +160,204 @@ impl Frame {
         }
     }
 
-    /// Parses one wire line (with or without the trailing `\n`).
+    /// Parses one wire line (with or without the trailing `\n`),
+    /// strictly: see [`parse_object`].
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem — an
-    /// unknown frame kind, a missing or malformed field, a bad escape.
-    /// Corrupted frames land here; the caller treats that as a faulty
-    /// result, never as data.
+    /// Returns a description of the first problem — a structural error,
+    /// an unknown frame kind, a missing, duplicate, unknown or
+    /// out-of-range field, a bad escape. Corrupted frames land here;
+    /// the caller treats that as a faulty result, never as data.
     pub fn parse(line: &str) -> Result<Frame, String> {
-        let line = line.trim_end_matches(['\n', '\r']);
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err("frame line is not a braced JSON object".to_string());
-        }
-        let kind = str_field(line, "frame")?;
-        match kind.as_str() {
-            "hello" => Ok(Frame::Hello {
-                proto: num_field(line, "proto")?,
-                name: str_field(line, "name")?,
-                fingerprint: str_field(line, "fingerprint")?,
-            }),
-            "welcome" => Ok(Frame::Welcome {
-                proto: num_field(line, "proto")?,
-                worker: num_field(line, "worker")?,
-                epoch: num_field(line, "epoch")?,
-            }),
-            "reject" => Ok(Frame::Reject {
-                reason: str_field(line, "reason")?,
-            }),
-            "lease" => Ok(Frame::Lease {
-                lease: num_field(line, "lease")?,
-                cell: num_field(line, "cell")?,
-                deadline_ms: num_field(line, "deadline_ms")?,
-            }),
-            "result" => Ok(Frame::Result {
-                lease: num_field(line, "lease")?,
-                cell: num_field(line, "cell")?,
-                epoch: num_field(line, "epoch")?,
-                crc: str_field(line, "crc")?,
-                payload: str_field(line, "payload")?,
-            }),
-            "ping" => Ok(Frame::Ping),
-            "shutdown" => Ok(Frame::Shutdown),
-            "bye" => Ok(Frame::Bye),
-            other => Err(format!("unknown frame kind {other:?}")),
-        }
+        let mut f = parse_object(line)?;
+        let kind = need_str(&mut f, "frame")?;
+        let frame = match kind.as_str() {
+            "hello" => Frame::Hello {
+                proto: need_int(&mut f, "proto")?,
+                name: need_str(&mut f, "name")?,
+                fingerprint: need_str(&mut f, "fingerprint")?,
+            },
+            "welcome" => Frame::Welcome {
+                proto: need_int(&mut f, "proto")?,
+                worker: need_int(&mut f, "worker")?,
+                epoch: need_int(&mut f, "epoch")?,
+            },
+            "reject" => Frame::Reject {
+                reason: need_str(&mut f, "reason")?,
+            },
+            "lease" => Frame::Lease {
+                lease: need_int(&mut f, "lease")?,
+                cell: need_int(&mut f, "cell")?,
+                deadline_ms: need_int(&mut f, "deadline_ms")?,
+            },
+            "result" => Frame::Result {
+                lease: need_int(&mut f, "lease")?,
+                cell: need_int(&mut f, "cell")?,
+                epoch: need_int(&mut f, "epoch")?,
+                crc: need_str(&mut f, "crc")?,
+                payload: need_str(&mut f, "payload")?,
+            },
+            "ping" => Frame::Ping,
+            "shutdown" => Frame::Shutdown,
+            "bye" => Frame::Bye,
+            other => return Err(format!("unknown frame kind {other:?}")),
+        };
+        reject_unknown(&f, &kind)?;
+        Ok(frame)
     }
 }
 
-/// Extracts a number field from a flat frame line (shared with the
-/// journal's checksummed records, which use the same flat-JSON idiom).
-pub(super) fn num_field<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, String> {
-    let pat = format!("\"{key}\":");
-    let at = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing frame field {key:?}"))?;
-    let rest = &line[at + pat.len()..];
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated frame field {key:?}"))?;
-    rest[..end]
-        .trim()
-        .parse()
-        .map_err(|_| format!("frame field {key:?} is not a number"))
+/// A parsed flat-JSON value: every line format in the workspace uses
+/// only strings and unsigned integers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Value {
+    /// A string, unescaped.
+    Str(String),
+    /// An unsigned integer that fits in a `u64`.
+    Int(u64),
 }
 
-/// Extracts and unescapes a string field from a flat frame line (shared
-/// with the journal's checksummed records).
-pub(super) fn str_field(line: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":\"");
-    let at = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing frame field {key:?}"))?;
-    let rest = &line[at + pat.len()..];
-    // Scan to the closing unescaped quote.
-    let mut end = None;
-    let mut escaped = false;
-    for (i, b) in rest.bytes().enumerate() {
-        if escaped {
-            escaped = false;
-        } else if b == b'\\' {
-            escaped = true;
-        } else if b == b'"' {
-            end = Some(i);
-            break;
+/// The fields of one parsed line, in line order.
+pub type Fields = Vec<(String, Value)>;
+
+/// Parses one line as a flat JSON object, strictly: `{"k":v,...}` with
+/// string or unsigned-integer values, no nesting, no duplicate keys, no
+/// trailing garbage (surrounding whitespace, the line's own `\n`
+/// included, is allowed). The typed `take_*`/`need_*` helpers consume
+/// the fields and [`reject_unknown`] rejects whatever is left over.
+/// Errors are one-line descriptions of the first problem.
+pub fn parse_object(line: &str) -> Result<Fields, String> {
+    let bytes = line.as_bytes();
+    let mut i = 0usize;
+    let skip_ws = |i: &mut usize| {
+        while *i < bytes.len() && bytes[*i].is_ascii_whitespace() {
+            *i += 1;
+        }
+    };
+    let eat = |i: &mut usize, c: u8| -> Result<(), String> {
+        if bytes.get(*i) == Some(&c) {
+            *i += 1;
+            Ok(())
+        } else {
+            Err(format!("expected {:?} at byte {}", c as char, *i))
+        }
+    };
+    let string = |i: &mut usize| -> Result<String, String> {
+        eat(i, b'"')?;
+        let start = *i;
+        while *i < bytes.len() {
+            match bytes[*i] {
+                b'\\' => *i += 2,
+                b'"' => {
+                    let inner = &line[start..*i];
+                    *i += 1;
+                    return json_unescape(inner);
+                }
+                _ => *i += 1,
+            }
+        }
+        Err("unterminated string".to_string())
+    };
+    let int = |i: &mut usize| -> Result<u64, String> {
+        let start = *i;
+        while *i < bytes.len() && bytes[*i].is_ascii_digit() {
+            *i += 1;
+        }
+        line[start..*i]
+            .parse()
+            .map_err(|_| format!("invalid number at byte {start}"))
+    };
+
+    let mut fields = Fields::new();
+    skip_ws(&mut i);
+    eat(&mut i, b'{')?;
+    skip_ws(&mut i);
+    if bytes.get(i) == Some(&b'}') {
+        i += 1;
+    } else {
+        loop {
+            let key = string(&mut i)?;
+            skip_ws(&mut i);
+            eat(&mut i, b':')?;
+            skip_ws(&mut i);
+            let value = match bytes.get(i) {
+                Some(b'"') => Value::Str(string(&mut i)?),
+                Some(b) if b.is_ascii_digit() => Value::Int(int(&mut i)?),
+                _ => {
+                    return Err(format!(
+                        "value of {key:?} must be a string or an unsigned integer"
+                    ))
+                }
+            };
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(format!("duplicate key {key:?}"));
+            }
+            fields.push((key, value));
+            skip_ws(&mut i);
+            match bytes.get(i) {
+                Some(b',') => {
+                    i += 1;
+                    skip_ws(&mut i);
+                }
+                Some(b'}') => {
+                    i += 1;
+                    break;
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {i}")),
+            }
         }
     }
-    let end = end.ok_or_else(|| format!("unterminated string field {key:?}"))?;
-    json_unescape(&rest[..end])
+    skip_ws(&mut i);
+    if i != bytes.len() {
+        return Err(format!("trailing garbage after the object at byte {i}"));
+    }
+    Ok(fields)
+}
+
+/// Removes `key` from `fields`, if present.
+fn take(fields: &mut Fields, key: &str) -> Option<Value> {
+    let pos = fields.iter().position(|(k, _)| k == key)?;
+    Some(fields.remove(pos).1)
+}
+
+/// Consumes an optional string field; any other value type is an error.
+pub fn take_str(fields: &mut Fields, key: &str) -> Result<Option<String>, String> {
+    match take(fields, key) {
+        None => Ok(None),
+        Some(Value::Str(s)) => Ok(Some(s)),
+        Some(Value::Int(_)) => Err(format!("{key:?} must be a string")),
+    }
+}
+
+/// Consumes an optional integer field as a `T`; a string or a value
+/// outside `T`'s range is an error, never a truncation.
+pub fn take_int<T: TryFrom<u64>>(fields: &mut Fields, key: &str) -> Result<Option<T>, String> {
+    match take(fields, key) {
+        None => Ok(None),
+        Some(Value::Int(n)) => T::try_from(n)
+            .map(Some)
+            .map_err(|_| format!("{key:?} value {n} is out of range")),
+        Some(Value::Str(_)) => Err(format!("{key:?} must be an unsigned integer")),
+    }
+}
+
+/// [`take_str`] for a required field.
+pub fn need_str(fields: &mut Fields, key: &str) -> Result<String, String> {
+    take_str(fields, key)?.ok_or_else(|| format!("missing key {key:?}"))
+}
+
+/// [`take_int`] for a required field.
+pub fn need_int<T: TryFrom<u64>>(fields: &mut Fields, key: &str) -> Result<T, String> {
+    take_int(fields, key)?.ok_or_else(|| format!("missing key {key:?}"))
+}
+
+/// Rejects whatever fields a line of kind `kind` did not consume.
+pub fn reject_unknown(fields: &Fields, kind: &str) -> Result<(), String> {
+    match fields.first() {
+        None => Ok(()),
+        Some((key, _)) => Err(format!("unknown key {key:?} in a {kind:?} line")),
+    }
 }
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -511,6 +627,39 @@ mod tests {
             let line = frame.render();
             assert!(line.ends_with('\n') && !line[..line.len() - 1].contains('\n'));
             assert_eq!(Frame::parse(&line).unwrap(), frame);
+        }
+        // Whitespace and key order are immaterial.
+        assert_eq!(
+            Frame::parse(
+                " { \"cell\" : 12 , \"deadline_ms\":30000,\"frame\":\"lease\",\"lease\":7 } \n"
+            )
+            .unwrap(),
+            Frame::Lease {
+                lease: 7,
+                cell: 12,
+                deadline_ms: 30_000,
+            }
+        );
+    }
+
+    #[test]
+    fn malformed_frames_are_rejected_not_defaulted() {
+        for line in [
+            // Duplicate key: the first one must not silently win.
+            "{\"frame\":\"lease\",\"lease\":1,\"lease\":9,\"cell\":0,\"deadline_ms\":5}",
+            // Unknown keys, before or after the kind.
+            "{\"frame\":\"bye\",\"junk\":1}",
+            "{\"x\":\"y\",\"frame\":\"bye\"}",
+            // A second object after the first.
+            "{\"frame\":\"ping\"}{\"frame\":\"bye\"}",
+            // Wrong type.
+            "{\"frame\":\"lease\",\"lease\":1,\"cell\":\"3\",\"deadline_ms\":5}",
+            // Out of range for the field (proto is a u32).
+            "{\"frame\":\"hello\",\"proto\":4294967296,\"name\":\"w\",\"fingerprint\":\"0\"}",
+            // Missing key.
+            "{\"frame\":\"lease\",\"lease\":1,\"cell\":0}",
+        ] {
+            assert!(Frame::parse(line).is_err(), "{line:?} accepted");
         }
     }
 

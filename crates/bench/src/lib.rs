@@ -21,11 +21,12 @@
 //!
 //! The `repro_fig6`, `repro_cc` and `repro_matrix` binaries print the
 //! regenerated figures/tables; `EXPERIMENTS.md` records measured-vs-paper
-//! values.
+//! values. [`cli`] holds the flag and address helpers the binaries share.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod dist;
 pub mod experiment;
 pub mod figures;

@@ -20,6 +20,16 @@
 //! The merge is purely textual (header parse + brace-balanced cell
 //! splitting), so it never re-runs or re-renders cells — what a shard
 //! measured is what the merged document contains.
+//!
+//! The header reader here is the workspace's one flat-JSON reader that
+//! is not [`crate::dist::protocol::parse_object`]: a shard document is
+//! pretty-printed, multi-line JSON with a boolean (`smoke`) and a
+//! nested cells array, which the strict line parser does not accept.
+//! It is as strict on what it reads: a header key that appears twice
+//! and a `smoke` that is neither `true` nor `false` are errors. Making
+//! the coordinator's journal the shard format (ROADMAP, "journal as
+//! shard format") would turn `--merge` into a union of journals and
+//! delete this reader.
 
 use crate::matrix::BenchMeta;
 use crate::Shard;
@@ -48,7 +58,11 @@ fn field<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
     let at = text
         .find(&pat)
         .ok_or_else(|| format!("missing header field {key:?} (not a shard document?)"))?;
-    let rest = text[at + pat.len()..].trim_start();
+    let rest = &text[at + pat.len()..];
+    if rest.contains(&pat) {
+        return Err(format!("duplicate header field {key:?}"));
+    }
+    let rest = rest.trim_start();
     let end = rest
         .find([',', '\n', '}'])
         .ok_or_else(|| format!("unterminated header field {key:?}"))?;
@@ -87,7 +101,11 @@ pub fn parse_shard_doc(text: &str) -> Result<ShardDoc, String> {
     }
     let doc = ShardDoc {
         pr: num_field(header, "pr")?,
-        smoke: field(header, "smoke")? == "true",
+        smoke: match field(header, "smoke")? {
+            "true" => true,
+            "false" => false,
+            other => return Err(format!("header field \"smoke\" is not a boolean: {other}")),
+        },
         arc: num_field(header, "arc")?,
         shard,
         cells_total: num_field(header, "cells_total")?,
@@ -366,8 +384,17 @@ mod tests {
         let a = shard_text(&full, arc, 0, 2, 5, false);
         let mut b = shard_text(&full, arc, 1, 2, 5, false);
         b = b.replace("\"arc\": 20", "\"arc\": 25");
-        let err = merge_shard_texts(&[a, b]).unwrap_err();
+        let err = merge_shard_texts(&[a.clone(), b]).unwrap_err();
         assert!(err.contains("disagrees"), "{err}");
+        // A header that would agree if read leniently — first key wins,
+        // anything but `true` is `false` — is rejected on its own.
+        let b = shard_text(&full, arc, 1, 2, 5, false);
+        let dup = b.replacen("  \"arc\": 20,\n", "  \"arc\": 20,\n  \"arc\": 25,\n", 1);
+        let err = merge_shard_texts(&[a.clone(), dup]).unwrap_err();
+        assert!(err.contains("duplicate header field \"arc\""), "{err}");
+        let maybe = b.replacen("\"smoke\": false", "\"smoke\": maybe", 1);
+        let err = merge_shard_texts(&[a, maybe]).unwrap_err();
+        assert!(err.contains("\"smoke\" is not a boolean"), "{err}");
     }
 
     #[test]

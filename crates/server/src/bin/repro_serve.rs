@@ -34,8 +34,8 @@
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
 
+use ftes_bench::cli::{parse_value, resolve_addr, take_value, write_addr_file};
 use ftes_opt::Threads;
 use ftes_server::{Goal, Request, Response, Server, ServerConfig};
 
@@ -82,28 +82,6 @@ enum ClientAction {
         key: u64,
     },
     Shutdown,
-}
-
-/// The flag's value argument, or a one-line error naming the flag.
-fn take_value(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    expected: &str,
-) -> Result<String, String> {
-    args.next()
-        .ok_or_else(|| format!("{flag}: missing value (expected {expected})"))
-}
-
-/// The flag's value parsed as `T`; missing or malformed values are
-/// one-line errors naming the flag, never silent defaults.
-fn parse_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    expected: &str,
-) -> Result<T, String> {
-    let v = take_value(args, flag, expected)?;
-    v.parse()
-        .map_err(|_| format!("{flag}: invalid value {v:?} (expected {expected})"))
 }
 
 /// Parses and validates the whole command line; the caller prints the
@@ -243,36 +221,6 @@ fn parse_cli(raw: &[String]) -> Result<Mode, String> {
             Ok(Mode::Client { addr, action, out })
         }
     }
-}
-
-/// Resolves a client address argument: a literal `host:port`, or
-/// `@PATH` polling the file the daemon's `--addr-file` writes (the
-/// `repro_matrix --worker` discipline: unparseable content is "not
-/// there yet", never handed to connect).
-fn resolve_addr(spec: &str) -> Result<String, String> {
-    let Some(path) = spec.strip_prefix('@') else {
-        return Ok(spec.to_string());
-    };
-    let deadline = std::time::Instant::now() + Duration::from_secs(15);
-    loop {
-        match std::fs::read_to_string(path) {
-            Ok(s) if s.trim().parse::<std::net::SocketAddr>().is_ok() => {
-                return Ok(s.trim().to_string());
-            }
-            _ if std::time::Instant::now() >= deadline => {
-                return Err(format!("no server address appeared in {path}"));
-            }
-            _ => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
-}
-
-/// Publishes the bound address atomically (temp + rename), so a polling
-/// client never observes a truncated address.
-fn write_addr_file(path: &str, addr: std::net::SocketAddr) -> std::io::Result<()> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, format!("{addr}\n"))?;
-    std::fs::rename(&tmp, path)
 }
 
 fn run_listen(

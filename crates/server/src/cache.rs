@@ -46,12 +46,10 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
-use ftes_bench::dist::protocol::{fnv64, json_escape};
+use ftes_bench::dist::protocol::{fnv64, json_escape, parse_object, take_int, take_str};
 use ftes_bench::{CellSeeds, Strategy};
 use ftes_model::{NodeId, NodeTypeId};
 use ftes_opt::{SlruCache, WarmStart};
-
-use crate::protocol::{parse_object, take_int, take_str};
 
 /// Content address of one result: FNV-1a over the canonical scenario
 /// spec plus everything else that determines the payload bytes — the
@@ -555,7 +553,7 @@ fn parse_entry(raw: &str) -> Option<(EntryHeader, &str)> {
     }
     let (header_line, payload) = raw.split_once('\n')?;
     let mut fields = parse_object(header_line).ok()?;
-    let version = take_int(&mut fields, "v").ok()??;
+    let version: u64 = take_int(&mut fields, "v").ok()??;
     if version != 2 {
         return None;
     }

@@ -5,8 +5,10 @@
 //! scenario spec parser follow: unknown keys, duplicate keys, wrong
 //! value types and trailing garbage are all one-line errors — a
 //! long-running service must never guess what a malformed request
-//! meant. String escaping reuses `ftes_bench::dist::protocol`'s
-//! `json_escape`/`json_unescape` so both wire formats agree.
+//! meant. The parser is `ftes_bench::dist::protocol`'s `parse_object`,
+//! the one the distributed runner's frames and journal use, with its
+//! typed field helpers and `json_escape`, so every line format in the
+//! workspace agrees.
 //!
 //! Requests:
 //!
@@ -33,7 +35,9 @@
 //!
 //! [`ChaosPlan::parse`]: ftes_bench::ChaosPlan::parse
 
-use ftes_bench::dist::protocol::{json_escape, json_unescape};
+use ftes_bench::dist::protocol::{
+    json_escape, need_int, need_str, parse_object, reject_unknown, take_int, take_str,
+};
 use ftes_bench::Strategy;
 
 use crate::cache::CacheStats;
@@ -162,152 +166,6 @@ pub enum Response {
     ),
     /// A `shutdown` acknowledgement.
     Ok,
-}
-
-/// A parsed flat-JSON value: the protocol only uses strings and
-/// unsigned integers.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Value {
-    Str(String),
-    Int(u64),
-}
-
-/// Parses one line as a flat JSON object, strictly: `{"k":v,...}` with
-/// string or unsigned-integer values, no nesting, no duplicate keys, no
-/// trailing garbage.
-pub(crate) fn parse_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    let skip_ws = |i: &mut usize| {
-        while *i < bytes.len() && bytes[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    let eat = |i: &mut usize, c: u8| -> Result<(), String> {
-        if bytes.get(*i) == Some(&c) {
-            *i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} of request",
-                c as char, *i
-            ))
-        }
-    };
-    let string = |i: &mut usize| -> Result<String, String> {
-        eat(i, b'"')?;
-        let start = *i;
-        while *i < bytes.len() {
-            match bytes[*i] {
-                b'\\' => *i += 2,
-                b'"' => {
-                    let inner = &line[start..*i];
-                    *i += 1;
-                    return json_unescape(inner);
-                }
-                _ => *i += 1,
-            }
-        }
-        Err("unterminated string in request".to_string())
-    };
-    let int = |i: &mut usize| -> Result<u64, String> {
-        let start = *i;
-        while *i < bytes.len() && bytes[*i].is_ascii_digit() {
-            *i += 1;
-        }
-        line[start..*i]
-            .parse()
-            .map_err(|_| format!("invalid number at byte {start} of request"))
-    };
-
-    let mut fields: Vec<(String, Value)> = Vec::new();
-    skip_ws(&mut i);
-    eat(&mut i, b'{')?;
-    skip_ws(&mut i);
-    if bytes.get(i) == Some(&b'}') {
-        i += 1;
-    } else {
-        loop {
-            let key = string(&mut i)?;
-            skip_ws(&mut i);
-            eat(&mut i, b':')?;
-            skip_ws(&mut i);
-            let value = match bytes.get(i) {
-                Some(b'"') => Value::Str(string(&mut i)?),
-                Some(b) if b.is_ascii_digit() => Value::Int(int(&mut i)?),
-                _ => {
-                    return Err(format!(
-                        "value of {key:?} must be a string or an unsigned integer"
-                    ))
-                }
-            };
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?} in request"));
-            }
-            fields.push((key, value));
-            skip_ws(&mut i);
-            match bytes.get(i) {
-                Some(b',') => {
-                    i += 1;
-                    skip_ws(&mut i);
-                }
-                Some(b'}') => {
-                    i += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {i} of request")),
-            }
-        }
-    }
-    skip_ws(&mut i);
-    if i != bytes.len() {
-        return Err(format!("trailing garbage after request object at byte {i}"));
-    }
-    Ok(fields)
-}
-
-/// Removes `key` from `fields`, if present.
-fn take(fields: &mut Vec<(String, Value)>, key: &str) -> Option<Value> {
-    let pos = fields.iter().position(|(k, _)| k == key)?;
-    Some(fields.remove(pos).1)
-}
-
-pub(crate) fn take_str(
-    fields: &mut Vec<(String, Value)>,
-    key: &str,
-) -> Result<Option<String>, String> {
-    match take(fields, key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s)),
-        Some(Value::Int(_)) => Err(format!("{key:?} must be a string")),
-    }
-}
-
-pub(crate) fn take_int(
-    fields: &mut Vec<(String, Value)>,
-    key: &str,
-) -> Result<Option<u64>, String> {
-    match take(fields, key) {
-        None => Ok(None),
-        Some(Value::Int(n)) => Ok(Some(n)),
-        Some(Value::Str(_)) => Err(format!("{key:?} must be an unsigned integer")),
-    }
-}
-
-fn need_str(fields: &mut Vec<(String, Value)>, key: &str) -> Result<String, String> {
-    take_str(fields, key)?.ok_or_else(|| format!("response is missing {key:?}"))
-}
-
-fn need_int(fields: &mut Vec<(String, Value)>, key: &str) -> Result<u64, String> {
-    take_int(fields, key)?.ok_or_else(|| format!("response is missing {key:?}"))
-}
-
-/// Rejects whatever fields a request type did not consume.
-fn reject_unknown(fields: &[(String, Value)], req: &str) -> Result<(), String> {
-    match fields.first() {
-        None => Ok(()),
-        Some((key, _)) => Err(format!("unknown key {key:?} in {req:?} request")),
-    }
 }
 
 impl Request {
@@ -512,7 +370,7 @@ impl Response {
                 Ok(resp)
             }
             "evicted" => {
-                let removed = match need_int(&mut fields, "removed")? {
+                let removed = match need_int::<u64>(&mut fields, "removed")? {
                     0 => false,
                     1 => true,
                     n => return Err(format!("\"removed\" must be 0 or 1, not {n}")),
