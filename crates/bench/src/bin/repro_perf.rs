@@ -33,7 +33,9 @@
 //! * `--check-floor PATH` reads `ci_floor_speedup` from a committed
 //!   `BENCH_PR6.json` and exits non-zero when this run's synthetic
 //!   incremental-vs-scratch speedup falls below it — the CI perf-smoke
-//!   regression gate.
+//!   regression gate. The file is read before the run: an unreadable
+//!   file, or one without exactly one `ci_floor_speedup` number, prints
+//!   one line naming the flag and the path and exits 2.
 //!
 //! A missing or malformed flag value prints a one-line error naming the
 //! flag, then the usage, and exits 2.
@@ -232,6 +234,22 @@ fn json_number(text: &str, path: &[&str]) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Reads `ci_floor_speedup` from the floor document at `path` (the
+/// `--check-floor` file). The key must appear exactly once: with two,
+/// [`json_number`] would silently take the first.
+fn read_floor(path: &str) -> Result<f64, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("--check-floor: cannot read {path}: {e}"))?;
+    match text.matches("\"ci_floor_speedup\"").count() {
+        1 => json_number(&text, &["ci_floor_speedup"])
+            .ok_or_else(|| format!("--check-floor: ci_floor_speedup in {path} is not a number")),
+        0 => Err(format!("--check-floor: no ci_floor_speedup in {path}")),
+        n => Err(format!(
+            "--check-floor: ci_floor_speedup appears {n} times in {path}"
+        )),
+    }
+}
+
 /// The comparison block: this run's synthetic incremental
 /// engine against the committed PR 5 trajectory.
 fn comparison_json(baseline_path: &str, pr6_incremental_seconds: f64) -> String {
@@ -320,6 +338,14 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     });
+    // Read before the run, so a bad floor file fails at once.
+    let floor = cli.check_floor.map(|path| match read_floor(&path) {
+        Ok(floor) => (path, floor),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    });
     let smoke = cli.smoke;
     let (apps, series) = if smoke {
         (cli.apps.min(2), 1)
@@ -370,11 +396,7 @@ fn main() {
     println!("{json}");
     eprintln!("wrote {out}");
 
-    if let Some(path) = cli.check_floor {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check-floor: cannot read {path}: {e}"));
-        let committed_floor = json_number(&committed, &["ci_floor_speedup"])
-            .unwrap_or_else(|| panic!("--check-floor: no ci_floor_speedup in {path}"));
+    if let Some((path, committed_floor)) = floor {
         let measured = synthetic_set.speedup_incremental;
         if measured < committed_floor {
             eprintln!(
@@ -418,6 +440,38 @@ mod tests {
             assert!(err.starts_with(flag), "{args:?} error {err:?}");
             assert!(err.contains("invalid value"), "{args:?} error {err:?}");
         }
+    }
+
+    #[test]
+    fn floor_file_must_be_readable_and_hold_the_key_once() {
+        let dir = std::env::temp_dir().join(format!("repro-perf-floor-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, text: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let ok = write(
+            "ok.json",
+            "{\n  \"pr\": 6,\n  \"ci_floor_speedup\": 1.500\n}\n",
+        );
+        assert_eq!(read_floor(&ok), Ok(1.5));
+        let missing = dir.join("missing.json").to_str().unwrap().to_string();
+        let no_key = write("no_key.json", "{\"pr\": 6}\n");
+        let twice = write(
+            "twice.json",
+            "{\"ci_floor_speedup\": 0.100, \"ci_floor_speedup\": 99.0}\n",
+        );
+        for (path, why) in [
+            (&missing, "cannot read"),
+            (&no_key, "no ci_floor_speedup"),
+            (&twice, "appears 2 times"),
+        ] {
+            let err = read_floor(path).unwrap_err();
+            assert!(err.starts_with("--check-floor"), "{err:?}");
+            assert!(err.contains(path.as_str()) && err.contains(why), "{err:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

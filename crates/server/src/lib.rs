@@ -15,8 +15,8 @@
 //!   FNV-1a hash of (canonical scenario spec, goal, ArC, engine
 //!   version). The disk tier survives process restarts; hit/miss/evict
 //!   counters are surfaced in every response and via a `stats` request.
-//! * [`server`] — the accept loop: per-connection handler threads over
-//!   one shared cache, engine runs gated through a
+//! * [`server`] — reusable connection handler threads, one per open
+//!   connection, over one shared cache, engine runs gated through a
 //!   [`CoreBudget`](ftes_opt::CoreBudget)-derived slot pool so a burst
 //!   of misses cannot oversubscribe the machine.
 //!

@@ -1,16 +1,25 @@
-//! The accept loop: per-connection handler threads over one shared
+//! The connection handlers: reusable handler threads over one shared
 //! [`ResultCache`], engine runs gated through a core-budget slot pool.
 //!
 //! Concurrency model:
 //!
-//! * The accept loop blocks in `accept()`. A `shutdown` request sets the
-//!   stop flag and then connects to the listener to wake the loop
-//!   ([`wake_listener`]); the loop re-checks the flag after every accept
-//!   and drops that connection unserved. A failed accept stops the run.
-//! * Each connection gets a scoped handler thread reading line-framed
-//!   requests with the distributed runner's [`FrameReader`] (partial
-//!   lines accumulate across reads; a slow client can stall its own
-//!   connection, never corrupt a frame).
+//! * Idle handler threads block in `accept()` on the shared listener;
+//!   `Shared::idle` counts them. A handler that accepts a connection
+//!   while it was the last idle one first spawns a replacement, so a
+//!   long-lived connection never holds up later accepts, and every
+//!   connection is served at once by its own thread. When its
+//!   connection ends the handler goes back to `accept()`, or exits if
+//!   [`IDLE_HANDLERS`] are already idle, so a burst does not leave its
+//!   threads behind. The live handler count is not bounded.
+//! * A `shutdown` request sets the stop flag under the idle-count lock
+//!   and, if a handler is idle, connects to the listener to wake it
+//!   ([`wake_listener`]). A handler that wakes to a set flag drops that
+//!   connection unserved, leaves the idle count and wakes the next idle
+//!   handler, so every handler exits and [`Server::run`] returns. A
+//!   failed accept stops the run the same way.
+//! * A handler reads line-framed requests with the distributed runner's
+//!   [`FrameReader`] (partial lines accumulate across reads; a slow
+//!   client can stall its own connection, never corrupt a frame).
 //! * Cache lookups take a short mutex; engine runs happen *outside* it,
 //!   gated by a counting semaphore sized by [`CoreBudget::fan_out`] so
 //!   `slots × per-slot budget ≤ total budget` — a burst of cache misses
@@ -30,7 +39,8 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use ftes_bench::dist::protocol::{wake_listener, FrameReader, RecvError};
@@ -42,6 +52,13 @@ use ftes_opt::{CoreBudget, Threads};
 use crate::cache::{cache_key, CacheStats, EntryMeta, ResultCache};
 use crate::protocol::{Request, Response};
 use crate::ENGINE_VERSION;
+
+/// How many handlers may wait in `accept()` once their connection ends;
+/// a handler finishing while this many are idle exits. Two serves a
+/// client that opens a fresh connection per request without spawning:
+/// one handler serves while the other waits, and the finished handler
+/// rejoins the waiting one, so the next accept still leaves one idle.
+const IDLE_HANDLERS: usize = 2;
 
 /// Tuning knobs for one [`Server`].
 #[derive(Debug, Clone)]
@@ -260,8 +277,7 @@ impl Server {
 
     /// Serves until a `shutdown` request arrives, then returns the
     /// final cache counters. Every connection error is contained to its
-    /// handler; the accept loop only stops on shutdown or a failed
-    /// accept.
+    /// handler; the handlers only stop on shutdown or a failed accept.
     ///
     /// # Errors
     ///
@@ -277,52 +293,110 @@ impl Server {
             gate: Gate::new(slots),
             per_slot,
             stop: AtomicBool::new(false),
+            // The calling thread is the first idle handler.
+            idle: Mutex::new(1),
             addr: self.local_addr(),
+            listener: self.listener,
             cfg: self.cfg,
         };
-
-        std::thread::scope(|scope| loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    // Re-checked after every accept: the connection that
-                    // woke a stopping loop is dropped unserved.
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let shared = &shared;
-                    scope.spawn(move || handle_connection(stream, shared));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // A broken listener cannot serve anyone; stop.
-                    eprintln!("accept failed: {e}");
-                    shared.stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-            }
-        });
+        std::thread::scope(|scope| run_handler(scope, &shared));
         Ok(shared.cache.into_inner().expect("cache poisoned").stats())
     }
 }
 
-/// What the accept loop shares with every connection handler.
+/// What every connection handler shares.
 struct Shared {
     cache: Mutex<ResultCache>,
     inflight: Inflight,
     gate: Gate,
     /// Core budget of one engine slot.
     per_slot: CoreBudget,
+    /// Set only under the `idle` lock, so a handler deciding to wait in
+    /// `accept()` either sees it or is counted before the wake chain
+    /// starts.
     stop: AtomicBool,
-    /// The listener's address: a `shutdown` handler connects to it to
-    /// wake the blocked accept.
+    /// Handlers blocked in (or about to enter) `accept()`.
+    idle: Mutex<usize>,
+    /// The listener's address: connecting to it wakes an idle handler.
     addr: SocketAddr,
+    listener: TcpListener,
     cfg: ServerConfig,
+}
+
+impl Shared {
+    /// Sets the stop flag and wakes one idle handler.
+    fn shut_down(&self) {
+        let idle = self.idle.lock().expect("idle count poisoned");
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake_next(idle);
+    }
+
+    /// Wakes one idle handler, if any, after releasing the lock: each
+    /// woken handler that sees the stop flag wakes the next.
+    fn wake_next(&self, idle: MutexGuard<'_, usize>) {
+        let anyone = *idle > 0;
+        drop(idle);
+        if anyone {
+            if let Err(e) = wake_listener(self.addr) {
+                eprintln!("cannot wake an idle handler: {e}");
+            }
+        }
+    }
+}
+
+/// One handler thread: accepts a connection, serves it, and repeats
+/// until the server stops or enough other handlers are idle. The caller
+/// has already counted this handler in `Shared::idle`.
+fn run_handler<'scope>(scope: &'scope Scope<'scope, '_>, shared: &'scope Shared) {
+    loop {
+        let stream = match shared.listener.accept() {
+            Ok((stream, _peer)) => Some(stream),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => {
+                eprintln!("accept failed: {e}");
+                None
+            }
+        };
+        let mut idle = shared.idle.lock().expect("idle count poisoned");
+        *idle -= 1;
+        let mut stream = match stream {
+            Some(stream) if !shared.stop.load(Ordering::SeqCst) => stream,
+            // Stopping: this connection (often the wake itself) is
+            // dropped unserved. A broken listener stops the run too, as
+            // it cannot serve anyone.
+            _ => {
+                shared.stop.store(true, Ordering::SeqCst);
+                shared.wake_next(idle);
+                return;
+            }
+        };
+        if *idle == 0 {
+            *idle += 1;
+            let spawned =
+                std::thread::Builder::new().spawn_scoped(scope, move || run_handler(scope, shared));
+            if let Err(e) = spawned {
+                *idle -= 1;
+                eprintln!("cannot start a connection handler: {e}");
+            }
+        }
+        drop(idle);
+        handle_connection(&mut stream, shared);
+        let mut idle = shared.idle.lock().expect("idle count poisoned");
+        if shared.stop.load(Ordering::SeqCst) || *idle >= IDLE_HANDLERS {
+            return;
+        }
+        *idle += 1;
+        drop(idle);
+        // Closed only once counted: a client that reads EOF on this
+        // connection knows its handler is idle again or gone.
+        drop(stream);
+    }
 }
 
 /// Serves one connection until the peer closes, the idle limit passes
 /// or the server stops. Malformed requests get an `error` response and
 /// the connection stays open — the peer is told exactly what was wrong.
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
+fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
     use std::io::Write as _;
 
     let Shared {
@@ -334,12 +408,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let mut reader = FrameReader::new();
     loop {
         let deadline = Instant::now() + idle;
-        let line =
-            match reader.read_line(&mut stream, deadline, poll, || stop.load(Ordering::SeqCst)) {
-                Ok(line) => line,
-                // Idle, stopped, or gone — either way this connection is done.
-                Err(RecvError::Timeout | RecvError::Closed | RecvError::Io(_)) => return,
-            };
+        let line = match reader.read_line(stream, deadline, poll, || stop.load(Ordering::SeqCst)) {
+            Ok(line) => line,
+            // Idle, stopped, or gone — either way this connection is done.
+            Err(RecvError::Timeout | RecvError::Closed | RecvError::Io(_)) => return,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -361,10 +434,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 removed: cache.lock().expect("cache poisoned").evict(key),
             },
             Ok(Request::Shutdown) => {
-                stop.store(true, Ordering::SeqCst);
-                if let Err(e) = wake_listener(shared.addr) {
-                    eprintln!("cannot wake the accept loop: {e}");
-                }
+                shared.shut_down();
                 Response::Ok
             }
             // Malformed lines don't touch the cache or its counters.

@@ -2,8 +2,8 @@
 //! one process lifetime, and — the tentpole guarantee — the disk tier
 //! surviving a restart with byte-identical responses.
 
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -324,4 +324,87 @@ fn fresh_connections_and_shutdown_do_not_wait_on_io_poll() {
 #[test]
 fn shutdown_wakes_a_listener_bound_to_the_unspecified_address() {
     accepts_and_stops_without_waiting_on_io_poll("0.0.0.0:0");
+}
+
+/// Sends `stats` on `stream` and checks that a stats response comes back.
+fn ask_stats(stream: &mut TcpStream) {
+    stream
+        .write_all(Request::Stats.render().as_bytes())
+        .expect("send stats");
+    let mut line = String::new();
+    BufReader::new(&*stream)
+        .read_line(&mut line)
+        .expect("read stats");
+    let resp = Response::parse(line.trim_end()).expect("parse stats");
+    assert!(matches!(resp, Response::Stats(_)), "{resp:?}");
+}
+
+/// Closes the client side and waits for the server to close its side:
+/// the server closes a connection only after its handler has rejoined
+/// the idle handlers or exited.
+fn close_and_wait(mut stream: TcpStream) {
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "unexpected bytes {rest:?}");
+}
+
+#[test]
+fn handlers_past_the_idle_cap_exit_and_shutdown_wakes_every_idle_one() {
+    // At most 2 handlers stay idle once their connections end (the
+    // server's idle cap); holding 4 connections more than that makes
+    // the handlers past the cap exit when the connections close.
+    const HELD: usize = 2 + 4;
+    let cfg = ServerConfig {
+        io_poll_ms: 10_000,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || done_tx.send(server.run()));
+
+    // Every held connection has been answered, so each one has its own
+    // live handler at the same time.
+    let mut held: Vec<TcpStream> = (0..HELD)
+        .map(|_| {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            ask_stats(&mut stream);
+            stream
+        })
+        .collect();
+    let control = held.remove(0);
+    for stream in held {
+        close_and_wait(stream);
+    }
+
+    // Fresh sequential connections after the pool shrank. Each one ends
+    // with its handler idle again, so 2 handlers are idle now.
+    for _ in 0..3 {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        ask_stats(&mut stream);
+        close_and_wait(stream);
+    }
+
+    // A shutdown on the first connection, served while 2 handlers wait
+    // in accept(): the wake must chain from one to the other. A missed
+    // handler keeps run() blocked, and this fails instead of hanging.
+    let mut control = control;
+    control
+        .write_all(Request::Shutdown.render().as_bytes())
+        .expect("send shutdown");
+    let mut line = String::new();
+    BufReader::new(&control)
+        .read_line(&mut line)
+        .expect("read shutdown reply");
+    assert_eq!(Response::parse(line.trim_end()), Ok(Response::Ok));
+    let stats = done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("run() did not return within 5 s of shutdown")
+        .expect("server run");
+    assert_eq!(stats.requests, 0, "stats requests are not cache lookups");
+    runner
+        .join()
+        .expect("server thread")
+        .expect("result received");
 }
