@@ -9,7 +9,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use ftes_gen::{BusProfile, GraphShape, Heterogeneity, Scenario, Utilization};
 use ftes_model::{Architecture, HLevel, Mapping, NodeId, ProcessId, System};
 use ftes_opt::{initial_mapping, redundancy_opt_memo, Evaluator, OptConfig, RedundancyMemo};
-use ftes_sched::{PriorityCache, ReadyPolicy, Scheduler, SlackModel};
+use ftes_sched::{PriorityCache, Scheduler, SlackModel};
 
 /// One benchmark fixture: a generated system with a two-node
 /// architecture and its greedy initial mapping.
@@ -40,7 +40,7 @@ fn fixture(shape: GraphShape, index: u64) -> Fixture {
     }
 }
 
-/// `run_light` across graph shapes and sizes, heap vs linear ready set.
+/// `run_light` across graph shapes and sizes.
 fn bench_run_light(c: &mut Criterion) {
     let mut group = c.benchmark_group("run_light");
     for shape in [
@@ -71,32 +71,6 @@ fn bench_run_light(c: &mut Criterion) {
                 })
             });
         }
-    }
-    group.finish();
-}
-
-/// Heap-indexed vs linear-scan ready set on the widest (fan) shape,
-/// where the ready list is largest.
-fn bench_ready_policies(c: &mut Criterion) {
-    let f = fixture(GraphShape::Fan, 1);
-    let mut group = c.benchmark_group("ready_policy");
-    for (name, policy) in [("heap", ReadyPolicy::Heap), ("linear", ReadyPolicy::Linear)] {
-        group.bench_function(name, |b| {
-            let mut scheduler = Scheduler::with_ready_policy(policy);
-            b.iter(|| {
-                scheduler
-                    .run_light(
-                        f.system.application(),
-                        f.system.timing(),
-                        &f.arch,
-                        &f.mapping,
-                        black_box(&f.ks),
-                        f.system.bus(),
-                        SlackModel::Shared,
-                    )
-                    .unwrap()
-            })
-        });
     }
     group.finish();
 }
@@ -268,7 +242,6 @@ fn bench_batched(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_run_light,
-    bench_ready_policies,
     bench_priorities,
     bench_memo_paths,
     bench_batched

@@ -4,8 +4,8 @@
 //! * `scratch`     — from-scratch evaluation (the pre-PR 2 baseline,
 //!   `EvalMode::Scratch`);
 //! * `incremental` — the full incremental engine: incremental SFP,
-//!   heap-indexed ready queue + priority delta cache + mapping-outcome
-//!   memo, and the batched allocation-free core — SoA `SystemSfp`,
+//!   priority delta cache + mapping-outcome memo, and the batched
+//!   allocation-free core — SoA `SystemSfp`,
 //!   candidate arena and the one-walk `score_neighborhood` kernel.
 //!
 //! Both return bit-identical solutions (verified per run); the
@@ -20,16 +20,18 @@
 //! Defaults: 12 synthetic applications, 3 series (each pipeline is timed
 //! `--series` times and the best wall time is kept — the best-of protocol
 //! suppresses scheduler noise on the shared runner), output to
-//! `BENCH_PR6.json` — the PR 6 counters (batched probes, arena reuses)
-//! plus a direct comparison block against the committed PR 5 numbers
-//! (read from `--baseline`, default `BENCH_PR5.json`), the committed CI
-//! floor (`--floor`) and, as `worker_threads`, the box's CPU count.
-//! `BENCH_PR5.json` itself is never rewritten: it is the frozen baseline
-//! the comparison reads.
+//! `BENCH_PR6.json` — the engine counters (batched probes, arena reuses),
+//! the committed CI floor (`--floor`) and, as `worker_threads`, the box's
+//! CPU count.
 //!
 //! * `--smoke` shrinks the batch to 2 applications and 1 series for CI
 //!   (the harness is exercised end to end; the timings are not
 //!   meaningful).
+//! * `--baseline FILE` adds a `comparison` block: the synthetic
+//!   incremental wall time recorded in an earlier artifact of this
+//!   harness, this run's, and their ratio. The file is read before the
+//!   run; an unreadable file, or one without that timing, prints one
+//!   line naming the flag and the path and exits 2.
 //! * `--check-floor PATH` reads `ci_floor_speedup` from a committed
 //!   `BENCH_PR6.json` and exits non-zero when this run's synthetic
 //!   incremental-vs-scratch speedup falls below it — the CI perf-smoke
@@ -250,37 +252,32 @@ fn read_floor(path: &str) -> Result<f64, String> {
     }
 }
 
-/// The comparison block: this run's synthetic incremental
-/// engine against the committed PR 5 trajectory.
-fn comparison_json(baseline_path: &str, pr6_incremental_seconds: f64) -> String {
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("warning: baseline {baseline_path} unreadable; comparison block omitted");
-        return String::new();
-    };
-    let read = |mode: &str, field: &str| json_number(&baseline, &["synthetic", mode, field]);
-    let (Some(pr5_scratch), Some(pr5_incremental)) = (
-        read("scratch", "wall_seconds"),
-        read("incremental", "wall_seconds"),
-    ) else {
-        eprintln!("warning: baseline {baseline_path} has no synthetic timings; block omitted");
-        return String::new();
-    };
-    let speedup_vs_pr5 = pr5_incremental / pr6_incremental_seconds.max(1e-12);
+/// Reads the synthetic incremental wall time from the artifact at `path`
+/// (the `--baseline` file).
+fn read_baseline(path: &str) -> Result<f64, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("--baseline: cannot read {path}: {e}"))?;
+    json_number(&text, &["synthetic", "incremental", "wall_seconds"])
+        .ok_or_else(|| format!("--baseline: no synthetic incremental wall_seconds in {path}"))
+}
+
+/// The comparison block: the baseline's synthetic incremental wall time
+/// against this run's.
+fn comparison_json(path: &str, baseline_seconds: f64, seconds: f64) -> String {
+    let ratio = baseline_seconds / seconds.max(1e-12);
     eprintln!(
-        "vs committed PR 5 ({baseline_path}): incremental {pr5_incremental:.3}s -> \
-         {pr6_incremental_seconds:.3}s = {speedup_vs_pr5:.2}x"
+        "vs {path}: synthetic incremental {baseline_seconds:.3}s -> {seconds:.3}s = {ratio:.2}x"
     );
     format!(
         concat!(
-            "  \"comparison_vs_pr5\": {{\n",
+            "  \"comparison\": {{\n",
             "    \"baseline\": \"{}\",\n",
-            "    \"pr5_scratch_wall_seconds\": {:.6},\n",
-            "    \"pr5_incremental_wall_seconds\": {:.6},\n",
-            "    \"pr6_incremental_wall_seconds\": {:.6},\n",
-            "    \"speedup_vs_pr5_incremental\": {:.3}\n",
+            "    \"baseline_incremental_wall_seconds\": {:.6},\n",
+            "    \"incremental_wall_seconds\": {:.6},\n",
+            "    \"speedup\": {:.3}\n",
             "  }},\n"
         ),
-        baseline_path, pr5_scratch, pr5_incremental, pr6_incremental_seconds, speedup_vs_pr5,
+        path, baseline_seconds, seconds, ratio,
     )
 }
 
@@ -295,7 +292,7 @@ struct Cli {
     apps: usize,
     series: usize,
     out: Option<String>,
-    baseline: String,
+    baseline: Option<String>,
     floor: f64,
     check_floor: Option<String>,
 }
@@ -309,7 +306,7 @@ fn parse_cli(raw: &[String]) -> Result<Cli, String> {
         apps: 12,
         series: 3,
         out: None,
-        baseline: "BENCH_PR5.json".to_string(),
+        baseline: None,
         floor: 1.5,
         check_floor: None,
     };
@@ -320,7 +317,7 @@ fn parse_cli(raw: &[String]) -> Result<Cli, String> {
             "--apps" => cli.apps = parse_value(&mut args, "--apps", "an application count")?,
             "--series" => cli.series = parse_value(&mut args, "--series", "a run count")?,
             "--out" => cli.out = Some(take_value(&mut args, "--out", "a path")?),
-            "--baseline" => cli.baseline = take_value(&mut args, "--baseline", "a path")?,
+            "--baseline" => cli.baseline = Some(take_value(&mut args, "--baseline", "a path")?),
             "--floor" => cli.floor = parse_value(&mut args, "--floor", "a speedup ratio")?,
             "--check-floor" => {
                 cli.check_floor = Some(take_value(&mut args, "--check-floor", "a path")?);
@@ -338,14 +335,17 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     });
-    // Read before the run, so a bad floor file fails at once.
-    let floor = cli.check_floor.map(|path| match read_floor(&path) {
-        Ok(floor) => (path, floor),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    });
+    // Read before the run, so a bad floor or baseline file fails at once.
+    let exit_on_error = |e: String| -> f64 {
+        eprintln!("{e}");
+        std::process::exit(2);
+    };
+    let floor = cli
+        .check_floor
+        .map(|path| (read_floor(&path).unwrap_or_else(exit_on_error), path));
+    let baseline = cli
+        .baseline
+        .map(|path| (read_baseline(&path).unwrap_or_else(exit_on_error), path));
     let smoke = cli.smoke;
     let (apps, series) = if smoke {
         (cli.apps.min(2), 1)
@@ -372,16 +372,17 @@ fn main() {
     let sweep_cfg = sweep_opt_config(Strategy::Opt);
     let synthetic_set = bench_set("synthetic", &synthetic, &sweep_cfg, series);
 
-    // The floor and the PR 5 comparison only mean something for the
-    // full-batch protocol: a smoke run's 2-app timings against the
-    // committed 12-app baseline would be apples to oranges, so smoke
-    // artifacts omit both (CI reads the floor from the *committed*
+    // The floor only means something for the full-batch protocol, so
+    // smoke artifacts omit it (CI reads the floor from the *committed*
     // BENCH_PR6.json, never from its own smoke output).
     let mut extra = String::new();
     if !smoke {
         extra.push_str(&format!("  \"ci_floor_speedup\": {:.3},\n", cli.floor));
+    }
+    if let Some((baseline_seconds, path)) = &baseline {
         extra.push_str(&comparison_json(
-            &cli.baseline,
+            path,
+            *baseline_seconds,
             synthetic_set.incremental_seconds,
         ));
     }
@@ -396,7 +397,7 @@ fn main() {
     println!("{json}");
     eprintln!("wrote {out}");
 
-    if let Some((path, committed_floor)) = floor {
+    if let Some((committed_floor, path)) = floor {
         let measured = synthetic_set.speedup_incremental;
         if measured < committed_floor {
             eprintln!(
@@ -424,7 +425,7 @@ mod tests {
         assert!(cli.smoke);
         assert_eq!(cli.apps, 4);
         assert_eq!(cli.series, 3);
-        assert_eq!(cli.baseline, "BENCH_PR5.json");
+        assert_eq!(cli.baseline, None);
         assert_eq!(cli.check_floor.as_deref(), Some("BENCH_PR6.json"));
         assert!(parse(&["--bench-pr6"]).unwrap_err().contains("unknown"));
     }
@@ -471,6 +472,30 @@ mod tests {
             assert!(err.starts_with("--check-floor"), "{err:?}");
             assert!(err.contains(path.as_str()) && err.contains(why), "{err:?}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn baseline_file_must_hold_the_synthetic_incremental_time() {
+        // The committed artifacts are the baselines a run compares with.
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR6.json");
+        assert_eq!(read_baseline(committed), Ok(0.111279));
+        let err = read_baseline("no/such/baseline.json").unwrap_err();
+        assert!(err.starts_with("--baseline: cannot read"), "{err:?}");
+        let dir = std::env::temp_dir().join(format!("repro-perf-base-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("paper_only.json");
+        std::fs::write(
+            &path,
+            "{\"paper\": {\"incremental\": {\"wall_seconds\": 1}}}\n",
+        )
+        .unwrap();
+        let path = path.to_str().unwrap();
+        let err = read_baseline(path).unwrap_err();
+        assert!(
+            err.starts_with("--baseline: no synthetic") && err.contains(path),
+            "{err:?}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -45,7 +45,7 @@
 //!   completed cell from the resumed artifact.
 //!
 //! File reading goes through the same reader as `--merge`
-//! ([`crate::merge::read_file_bytes`] / [`crate::merge::utf8_or_error`]),
+//! (`merge::read_file_bytes` / `merge::utf8_or_error`),
 //! so both tools reject unreadable and non-UTF-8 input with identical
 //! one-line messages.
 

@@ -257,7 +257,7 @@ pub(crate) fn utf8_or_error(
 
 /// Reads one shard file for merging, mapping every failure mode to a
 /// one-line description instead of a panic — built on the same
-/// [`read_file_bytes`]/[`utf8_or_error`] reader the distributed journal
+/// `read_file_bytes`/`utf8_or_error` reader the distributed journal
 /// loader uses, so both tools reject unreadable or non-UTF-8 input
 /// identically.
 ///

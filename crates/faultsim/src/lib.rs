@@ -1,7 +1,7 @@
 //! # ftes-faultsim — transient-fault injection substrate
 //!
 //! The DATE'09 paper takes the process failure probabilities `p_ijh` from
-//! fault-injection experiments (GOOFI [1], FPGA-based injection [18]) on
+//! fault-injection experiments (GOOFI \[1\], FPGA-based injection \[18\]) on
 //! real hardened processors. This crate is the reproduction's substitute
 //! substrate (see `DESIGN.md` §3):
 //!

@@ -27,7 +27,7 @@
 //!   ([`ftes_faultsim`]);
 //! * [`gen`] — synthetic benchmarks and the cruise-controller case study
 //!   ([`ftes_gen`]);
-//! * [`bench`] — the Section 7 experiment harness ([`ftes_bench`]).
+//! * [`bench`](mod@bench) — the Section 7 experiment harness ([`ftes_bench`]).
 //!
 //! ## Quick start
 //!

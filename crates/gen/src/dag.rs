@@ -59,8 +59,8 @@ pub struct GeneratedDag {
 /// Generates a random layered DAG.
 ///
 /// The deadline/period are set to a generous placeholder (the sum of all
-/// WCETs); callers re-derive them (see
-/// [`assign_deadline`](crate::assign_deadline)).
+/// WCETs); callers re-derive them (see `reassign_deadline` in
+/// `experiment.rs`).
 ///
 /// # Panics
 ///

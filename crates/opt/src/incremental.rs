@@ -22,8 +22,9 @@
 //!    together; the WCETs feed a
 //!    [`PriorityCache`](ftes_sched::PriorityCache) (longest-path
 //!    priorities delta-maintained across probes) and
-//!    [`Scheduler::run_light_flat`] — the list-scheduling walk with no
-//!    architecture or timing-table lookups left in the loop.
+//!    [`Scheduler::run_light_flat`] — the scheduler's one list-scheduling
+//!    walk, recording no slots, with no architecture or timing-table
+//!    lookups left in the loop.
 //!
 //! There is no per-candidate result memo: whole-mapping revisits are
 //! absorbed one level up by [`RedundancyMemo`](crate::RedundancyMemo),
@@ -46,7 +47,7 @@ use ftes_model::{
     Architecture, Cost, FlatTiming, Mapping, ModelError, NodeId, NodeInstance, Prob, ProcessId,
     System, TimeUs, TimingSource,
 };
-use ftes_sched::{PriorityCache, ReadyPolicy, Scheduler, SlackModel};
+use ftes_sched::{PriorityCache, Scheduler, SlackModel};
 use ftes_sfp::SystemSfp;
 use serde::{Deserialize, Serialize};
 
@@ -295,9 +296,7 @@ impl<'a> Evaluator<'a> {
             validated_map: Vec::new(),
             touched: Vec::new(),
             per_node: Vec::new(),
-            scheduler: Scheduler::with_ready_policy(ReadyPolicy::auto_for(
-                system.application().process_count(),
-            )),
+            scheduler: Scheduler::new(),
             priorities: PriorityCache::new(),
             preds: system
                 .application()

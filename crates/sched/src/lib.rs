@@ -10,7 +10,6 @@
 //!
 //! * [`schedule`] — builds a [`Schedule`] for an application, architecture,
 //!   mapping and per-node re-execution budgets;
-//! * [`schedule_length`] — just the worst-case length `SL`;
 //! * [`longest_path_to_sink`] / [`critical_processes`] — the priorities
 //!   driving both the list scheduler and the tabu-search mapping heuristic.
 //!
@@ -37,9 +36,7 @@ mod list_scheduler;
 mod priority;
 mod schedule;
 
-pub use list_scheduler::{
-    schedule, schedule_length, schedule_with, ReadyPolicy, ScheduleVerdict, Scheduler, SlackModel,
-};
+pub use list_scheduler::{schedule, schedule_with, ScheduleVerdict, Scheduler, SlackModel};
 pub use priority::{
     critical_processes, critical_processes_into, longest_path_to_sink, CriticalScratch,
     PriorityCache, PriorityStats,

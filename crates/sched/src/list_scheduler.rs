@@ -19,9 +19,6 @@
 //! under node-local fault semantics — `ftes-faultsim`'s runtime simulator
 //! checks it by injection (see the property tests).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use ftes_model::{
     Application, Architecture, BusSpec, Mapping, ModelError, ProcessId, TimeUs, TimingDb,
     TimingSource,
@@ -108,100 +105,28 @@ pub fn schedule_with(
     Scheduler::new().run(app, timing, arch, mapping, ks, bus, slack)
 }
 
-/// How the scheduler picks the next process among the ready ones.
-///
-/// Both policies implement the same total order — highest priority first,
-/// ties broken by the smaller process index — so they produce
-/// **bit-identical** schedules; the hot-kernel differential suite pins
-/// the equivalence on generated DAGs. `Linear` is the executable
-/// specification of the selection rule (an O(R) scan per pop); `Heap`
-/// (the default) is the indexed O(log R) structure the design-space
-/// exploration runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadyPolicy {
-    /// Indexed binary heap keyed on `(priority, Reverse(process index))`.
-    #[default]
-    Heap,
-    /// Linear max-scan of the ready list (the reference selection).
-    Linear,
-}
-
-impl ReadyPolicy {
-    /// The measured-faster policy for a given application size: the heap
-    /// wins once ready lists grow past what a cache-resident linear scan
-    /// eats for breakfast (the `hot_kernel` microbenches put the
-    /// crossover above paper-scale graphs), so small applications pick
-    /// the scan. Either choice is bit-identical in results.
-    pub fn auto_for(process_count: usize) -> Self {
-        if process_count > 64 {
-            ReadyPolicy::Heap
-        } else {
-            ReadyPolicy::Linear
-        }
-    }
-}
-
-/// A max-heap entry: highest priority first, then smallest process index.
-type HeapEntry = (TimeUs, Reverse<u32>);
-
-/// The ready set behind one scheduling walk, dispatching on the
-/// [`ReadyPolicy`]. Both variants borrow the scheduler's reusable
-/// buffers.
-enum ReadySet<'a> {
-    Linear(&'a mut Vec<ProcessId>),
-    Heap(&'a mut BinaryHeap<HeapEntry>),
-}
-
-impl ReadySet<'_> {
-    #[inline]
-    fn push(&mut self, p: ProcessId, priorities: &[TimeUs]) {
-        match self {
-            ReadySet::Linear(list) => list.push(p),
-            ReadySet::Heap(heap) => {
-                heap.push((priorities[p.index()], Reverse(p.index() as u32)));
-            }
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self, priorities: &[TimeUs]) -> Option<ProcessId> {
-        match self {
-            ReadySet::Linear(list) => {
-                let (idx, _) = list.iter().enumerate().max_by(|(_, &a), (_, &b)| {
-                    priorities[a.index()]
-                        .cmp(&priorities[b.index()])
-                        .then(b.index().cmp(&a.index()))
-                })?;
-                Some(list.swap_remove(idx))
-            }
-            ReadySet::Heap(heap) => heap.pop().map(|(_, Reverse(i))| ProcessId::new(i)),
-        }
-    }
-}
-
 /// The list scheduler with reusable intermediate buffers.
 ///
 /// [`schedule`] / [`schedule_with`] construct one per call; hot loops (the
 /// design-space exploration evaluates thousands of candidates per second)
 /// keep one around and call [`run`](Scheduler::run) directly, skipping the
 /// per-call mapping validation (the caller is expected to have validated)
-/// and all intermediate allocations. The produced [`Schedule`] is
-/// identical to [`schedule_with`]'s for valid inputs.
+/// and all intermediate allocations.
+///
+/// Every entry point resolves its per-process inputs (priorities, WCETs,
+/// predecessor counts) if the caller has not, then runs the same single
+/// list-scheduling walk; [`run`](Scheduler::run) records the slots along
+/// the way, the verdict entry points record nothing. The ready process
+/// picked next is always the one with the highest priority, ties going
+/// to the smaller process index.
 #[derive(Debug, Default)]
 pub struct Scheduler {
-    policy: ReadyPolicy,
+    /// Per-process inputs resolved by [`run`](Scheduler::run) and
+    /// [`run_light`](Scheduler::run_light).
     priorities: Vec<TimeUs>,
-    wcet_scratch: Vec<TimeUs>,
-    preds_scratch: Vec<usize>,
-    remaining_preds: Vec<usize>,
-    ready: Vec<ftes_model::ProcessId>,
-    ready_heap: BinaryHeap<HeapEntry>,
-    node_available: Vec<TimeUs>,
-    node_prefix_max: Vec<TimeUs>,
-    node_bus_busy: Vec<TimeUs>,
-    deadlines: Vec<TimeUs>,
-    msg_arrival: Vec<TimeUs>,
-    graph_wc: Vec<TimeUs>,
+    wcets: Vec<TimeUs>,
+    preds: Vec<usize>,
+    walk: Walk,
 }
 
 /// The schedulability verdict of [`Scheduler::run_light`]: exactly the
@@ -217,18 +142,9 @@ pub struct ScheduleVerdict {
 }
 
 impl Scheduler {
-    /// Creates a scheduler with empty buffers (heap-indexed ready set).
+    /// Creates a scheduler with empty buffers.
     pub fn new() -> Self {
         Scheduler::default()
-    }
-
-    /// Creates a scheduler with an explicit [`ReadyPolicy`] — the
-    /// `Linear` reference selection exists for differential testing.
-    pub fn with_ready_policy(policy: ReadyPolicy) -> Self {
-        Scheduler {
-            policy,
-            ..Scheduler::default()
-        }
     }
 
     /// Builds the static schedule — the buffer-reusing core of
@@ -251,157 +167,25 @@ impl Scheduler {
         bus: BusSpec,
         slack: SlackModel,
     ) -> Result<Schedule, ModelError> {
-        if ks.len() != arch.node_count() {
-            return Err(ModelError::IncompleteMapping {
-                expected: arch.node_count(),
-                got: ks.len(),
-            });
-        }
-
-        let n = app.process_count();
-        crate::priority::longest_path_to_sink_into(
+        self.resolve(app, timing, arch, mapping, ks)?;
+        let mut slots = Slots::new(app);
+        let verdict = self.walk.walk(
             app,
-            timing,
-            arch,
             mapping,
-            &mut self.priorities,
-        )?;
-        let priorities = &self.priorities;
-
-        self.remaining_preds.clear();
-        self.remaining_preds
-            .extend(app.process_ids().map(|p| app.incoming(p).len()));
-        let remaining_preds = &mut self.remaining_preds;
-        self.ready.clear();
-        self.ready_heap.clear();
-        let mut ready = match self.policy {
-            ReadyPolicy::Linear => ReadySet::Linear(&mut self.ready),
-            ReadyPolicy::Heap => ReadySet::Heap(&mut self.ready_heap),
-        };
-        for p in app.process_ids() {
-            if remaining_preds[p.index()] == 0 {
-                ready.push(p, priorities);
-            }
-        }
-
-        let node_count = arch.node_count();
-        self.node_available.clear();
-        self.node_available.resize(node_count, TimeUs::ZERO);
-        let node_available = &mut self.node_available;
-        // Running maximum of (t_ijh + μ_i) over the processes placed so far
-        // on each node: a process can only be delayed by re-executions of
-        // itself or of processes scheduled before it, so its worst-case end
-        // is finish + k_j · prefix_max(t + μ). This is the shared-slack
-        // bound.
-        self.node_prefix_max.clear();
-        self.node_prefix_max.resize(node_count, TimeUs::ZERO);
-        let node_prefix_max = &mut self.node_prefix_max;
-        // Serialization point per sender node for bus transmissions: a
-        // node's network interface sends one message at a time.
-        self.node_bus_busy.clear();
-        self.node_bus_busy.resize(node_count, TimeUs::ZERO);
-        let node_bus_busy = &mut self.node_bus_busy;
-
-        // Output slots, written in place (every index is assigned exactly
-        // once — the DAG guarantees each process and message schedules).
-        let placeholder = ProcessSlot {
-            process: ftes_model::ProcessId::new(0),
-            node: ftes_model::NodeId::new(0),
-            start: TimeUs::ZERO,
-            finish: TimeUs::ZERO,
-            wc_end: TimeUs::ZERO,
-        };
-        let mut proc_slots: Vec<ProcessSlot> = vec![placeholder; n];
-        let msg_placeholder = MessageSlot {
-            message: ftes_model::MessageId::new(0),
-            send: TimeUs::ZERO,
-            arrival: TimeUs::ZERO,
-            over_bus: false,
-        };
-        let mut msg_slots: Vec<MessageSlot> = vec![msg_placeholder; app.message_count()];
-        let mut scheduled = 0usize;
-
-        // Highest priority first; ties by process index for determinism.
-        while let Some(p) = ready.pop(priorities) {
-            let node = mapping.node_of(p);
-            let inst = arch.node(node);
-            let spec = timing.spec(p, inst.node_type, inst.hardening)?;
-
-            // Earliest data-ready time over all inputs.
-            let mut data_ready = TimeUs::ZERO;
-            for &m in app.incoming(p) {
-                data_ready = data_ready.max(msg_slots[m.index()].arrival);
-            }
-            let start = data_ready.max(node_available[node.index()]);
-            let finish = start + spec.wcet;
-            let k = ks[node.index()] as i64;
-            let mu = app.process(p).mu();
-            let own_slack = (spec.wcet + mu).times(k);
-            let wc_end = match slack {
-                SlackModel::Shared => {
-                    let prefix = node_prefix_max[node.index()].max(spec.wcet + mu);
-                    node_prefix_max[node.index()] = prefix;
-                    finish + prefix.times(k)
-                }
-                SlackModel::PerProcess => finish + own_slack,
-            };
-            proc_slots[p.index()] = ProcessSlot {
-                process: p,
-                node,
-                start,
-                finish,
-                wc_end,
-            };
-            node_available[node.index()] = match slack {
-                SlackModel::Shared => finish,
-                // Exclusive windows: the next process starts after the slack.
-                SlackModel::PerProcess => finish + own_slack,
-            };
-            scheduled += 1;
-
-            // Emit outputs and release successors.
-            for &m in app.outgoing(p) {
-                let msg = app.message(m);
-                let dst_node = mapping.node_of(msg.dst());
-                let (send, arrival, over_bus) = if dst_node == node {
-                    (finish, finish, false)
-                } else {
-                    let send = finish.max(node_bus_busy[node.index()]);
-                    let arrival = bus.arrival_time(node, node_count, send, msg.tx_time());
-                    node_bus_busy[node.index()] = arrival;
-                    (send, arrival, true)
-                };
-                msg_slots[m.index()] = MessageSlot {
-                    message: m,
-                    send,
-                    arrival,
-                    over_bus,
-                };
-                let d = msg.dst();
-                remaining_preds[d.index()] -= 1;
-                if remaining_preds[d.index()] == 0 {
-                    ready.push(d, priorities);
-                }
-            }
-        }
-        debug_assert_eq!(scheduled, n, "DAG guarantees all processes schedule");
-
-        // Per-graph worst-case completion and deadlines.
-        let mut graph_wc = vec![TimeUs::ZERO; app.graph_count()];
-        for p in app.process_ids() {
-            let g = app.process(p).graph().index();
-            graph_wc[g] = graph_wc[g].max(proc_slots[p.index()].wc_end);
-        }
-        self.deadlines.clear();
-        self.deadlines
-            .extend(app.graph_ids().map(|g| app.graph(g).deadline()));
-
+            ks,
+            bus,
+            slack,
+            &self.priorities,
+            &self.wcets,
+            &self.preds,
+            &mut slots,
+        );
         Ok(Schedule::from_parts(
-            proc_slots,
-            msg_slots,
+            slots.processes,
+            slots.messages,
             ks.to_vec(),
-            graph_wc,
-            &self.deadlines,
+            std::mem::take(&mut self.walk.graph_wc),
+            verdict.schedulable,
         ))
     }
 
@@ -425,46 +209,28 @@ impl Scheduler {
         bus: BusSpec,
         slack: SlackModel,
     ) -> Result<ScheduleVerdict, ModelError> {
-        if ks.len() != arch.node_count() {
-            return Err(ModelError::IncompleteMapping {
-                expected: arch.node_count(),
-                got: ks.len(),
-            });
-        }
-        crate::priority::longest_path_to_sink_into(
+        self.resolve(app, timing, arch, mapping, ks)?;
+        Ok(self.walk.walk(
             app,
-            timing,
-            arch,
             mapping,
-            &mut self.priorities,
-        )?;
-        self.wcet_scratch.clear();
-        self.preds_scratch.clear();
-        for p in app.process_ids() {
-            let inst = arch.node(mapping.node_of(p));
-            self.wcet_scratch
-                .push(timing.wcet(p, inst.node_type, inst.hardening)?);
-            self.preds_scratch.push(app.incoming(p).len());
-        }
-        let priorities = std::mem::take(&mut self.priorities);
-        let wcets = std::mem::take(&mut self.wcet_scratch);
-        let preds = std::mem::take(&mut self.preds_scratch);
-        let verdict =
-            self.run_light_flat(app, mapping, ks, bus, slack, &priorities, &wcets, &preds);
-        self.priorities = priorities;
-        self.wcet_scratch = wcets;
-        self.preds_scratch = preds;
-        verdict
+            ks,
+            bus,
+            slack,
+            &self.priorities,
+            &self.wcets,
+            &self.preds,
+            &mut (),
+        ))
     }
 
-    /// The hot kernel of the incremental engine: the
-    /// [`run_light`](Scheduler::run_light) walk over **pre-resolved**
+    /// The hot kernel of the incremental engine: the verdict walk of
+    /// [`run_light`](Scheduler::run_light) over **pre-resolved**
     /// per-process priorities, WCETs (as maintained across probes by a
     /// [`PriorityCache`](crate::PriorityCache)) and predecessor counts
-    /// (app-constant; precompute once per system), with no architecture
-    /// or timing-table lookups left in the loop. `ks.len()` defines the
-    /// node count; `priorities`/`wcets` must equal what the full
-    /// recompute would produce for the candidate and `preds[i]` must be
+    /// (app-constant; precompute once per system), so no architecture or
+    /// timing-table lookup is left to do. `ks.len()` defines the node
+    /// count; `priorities`/`wcets` must equal what the full recompute
+    /// would produce for the candidate and `preds[i]` must be
     /// `app.incoming(i).len()` — the verdict is then bit-identical to
     /// [`run_light`](Scheduler::run_light)'s (pinned by the sched unit
     /// tests and the hot-kernel differential suite).
@@ -485,52 +251,206 @@ impl Scheduler {
         wcets: &[TimeUs],
         preds: &[usize],
     ) -> Result<ScheduleVerdict, ModelError> {
+        Ok(self.walk.walk(
+            app,
+            mapping,
+            ks,
+            bus,
+            slack,
+            priorities,
+            wcets,
+            preds,
+            &mut (),
+        ))
+    }
+
+    /// Checks `ks` against the node count and fills the per-process
+    /// priorities, WCETs and predecessor counts for the candidate.
+    fn resolve<T: TimingSource>(
+        &mut self,
+        app: &Application,
+        timing: &T,
+        arch: &Architecture,
+        mapping: &Mapping,
+        ks: &[u32],
+    ) -> Result<(), ModelError> {
+        if ks.len() != arch.node_count() {
+            return Err(ModelError::IncompleteMapping {
+                expected: arch.node_count(),
+                got: ks.len(),
+            });
+        }
+        crate::priority::longest_path_to_sink_into(
+            app,
+            timing,
+            arch,
+            mapping,
+            &mut self.priorities,
+        )?;
+        self.preds.clear();
+        self.preds
+            .extend(app.process_ids().map(|p| app.incoming(p).len()));
+        self.wcets.clear();
+        self.wcets.reserve(app.process_count());
+        for p in app.process_ids() {
+            let inst = arch.node(mapping.node_of(p));
+            self.wcets
+                .push(timing.wcet(p, inst.node_type, inst.hardening)?);
+        }
+        Ok(())
+    }
+}
+
+/// Where the walk records its placements: `()` records nothing (the
+/// verdict path), [`Slots`] writes every slot in place (the full
+/// schedule). Monomorphized, so the verdict walk carries no slot code.
+trait SlotSink {
+    fn process(&mut self, slot: ProcessSlot);
+    fn message(&mut self, slot: MessageSlot);
+}
+
+impl SlotSink for () {
+    #[inline(always)]
+    fn process(&mut self, _: ProcessSlot) {}
+    #[inline(always)]
+    fn message(&mut self, _: MessageSlot) {}
+}
+
+/// The full schedule's slot vectors, indexed by process and by message.
+/// Every index is written exactly once: the DAG guarantees each process
+/// and message schedules.
+struct Slots {
+    processes: Vec<ProcessSlot>,
+    messages: Vec<MessageSlot>,
+}
+
+impl Slots {
+    fn new(app: &Application) -> Self {
+        let process = ProcessSlot {
+            process: ProcessId::new(0),
+            node: ftes_model::NodeId::new(0),
+            start: TimeUs::ZERO,
+            finish: TimeUs::ZERO,
+            wc_end: TimeUs::ZERO,
+        };
+        let message = MessageSlot {
+            message: ftes_model::MessageId::new(0),
+            send: TimeUs::ZERO,
+            arrival: TimeUs::ZERO,
+            over_bus: false,
+        };
+        Slots {
+            processes: vec![process; app.process_count()],
+            messages: vec![message; app.message_count()],
+        }
+    }
+}
+
+impl SlotSink for Slots {
+    #[inline]
+    fn process(&mut self, slot: ProcessSlot) {
+        self.processes[slot.process.index()] = slot;
+    }
+    #[inline]
+    fn message(&mut self, slot: MessageSlot) {
+        self.messages[slot.message.index()] = slot;
+    }
+}
+
+/// Removes and returns the ready process to place next: the highest
+/// priority, ties going to the smaller process index.
+#[inline]
+fn pop_highest(ready: &mut Vec<ProcessId>, priorities: &[TimeUs]) -> Option<ProcessId> {
+    let (idx, _) = ready.iter().enumerate().max_by(|(_, a), (_, b)| {
+        priorities[a.index()]
+            .cmp(&priorities[b.index()])
+            .then(b.index().cmp(&a.index()))
+    })?;
+    Some(ready.swap_remove(idx))
+}
+
+/// The reusable buffers of one list-scheduling walk.
+#[derive(Debug, Default)]
+struct Walk {
+    remaining_preds: Vec<usize>,
+    ready: Vec<ProcessId>,
+    node_available: Vec<TimeUs>,
+    node_prefix_max: Vec<TimeUs>,
+    node_bus_busy: Vec<TimeUs>,
+    msg_arrival: Vec<TimeUs>,
+    graph_wc: Vec<TimeUs>,
+}
+
+impl Walk {
+    /// The list-scheduling walk: pops ready processes in priority order,
+    /// places each as early as possible on its node, accounts its
+    /// recovery slack, prices its outgoing messages and releases its
+    /// successors. Leaves the per-graph worst-case completions in
+    /// `graph_wc` and returns the verdict.
+    #[allow(clippy::too_many_arguments)]
+    fn walk<S: SlotSink>(
+        &mut self,
+        app: &Application,
+        mapping: &Mapping,
+        ks: &[u32],
+        bus: BusSpec,
+        slack: SlackModel,
+        priorities: &[TimeUs],
+        wcets: &[TimeUs],
+        preds: &[usize],
+        sink: &mut S,
+    ) -> ScheduleVerdict {
         debug_assert_eq!(priorities.len(), app.process_count());
         debug_assert_eq!(wcets.len(), app.process_count());
         debug_assert_eq!(preds.len(), app.process_count());
 
-        self.remaining_preds.clear();
-        self.remaining_preds.extend_from_slice(preds);
-        let remaining_preds = &mut self.remaining_preds;
-        self.ready.clear();
-        self.ready_heap.clear();
-        let mut ready = match self.policy {
-            ReadyPolicy::Linear => ReadySet::Linear(&mut self.ready),
-            ReadyPolicy::Heap => ReadySet::Heap(&mut self.ready_heap),
-        };
-        for p in app.process_ids() {
-            if remaining_preds[p.index()] == 0 {
-                ready.push(p, priorities);
-            }
-        }
+        let Walk {
+            remaining_preds,
+            ready,
+            node_available,
+            node_prefix_max,
+            node_bus_busy,
+            msg_arrival,
+            graph_wc,
+        } = self;
+        remaining_preds.clear();
+        remaining_preds.extend_from_slice(preds);
+        ready.clear();
+        // One allocation for a fresh scheduler instead of a growth series.
+        ready.reserve(app.process_count());
+        ready.extend(app.process_ids().filter(|p| preds[p.index()] == 0));
 
         let node_count = ks.len();
-        self.node_available.clear();
-        self.node_available.resize(node_count, TimeUs::ZERO);
-        let node_available = &mut self.node_available;
-        self.node_prefix_max.clear();
-        self.node_prefix_max.resize(node_count, TimeUs::ZERO);
-        let node_prefix_max = &mut self.node_prefix_max;
-        self.node_bus_busy.clear();
-        self.node_bus_busy.resize(node_count, TimeUs::ZERO);
-        let node_bus_busy = &mut self.node_bus_busy;
+        node_available.clear();
+        node_available.resize(node_count, TimeUs::ZERO);
+        // Running maximum of (t_ijh + μ_i) over the processes placed so far
+        // on each node: a process can only be delayed by re-executions of
+        // itself or of processes scheduled before it, so its worst-case end
+        // is finish + k_j · prefix_max(t + μ). This is the shared-slack
+        // bound.
+        node_prefix_max.clear();
+        node_prefix_max.resize(node_count, TimeUs::ZERO);
+        // Serialization point per sender node for bus transmissions: a
+        // node's network interface sends one message at a time.
+        node_bus_busy.clear();
+        node_bus_busy.resize(node_count, TimeUs::ZERO);
         // Every message's arrival is written when its producer schedules,
         // strictly before any consumer reads it (precedence), so stale
         // values from the previous walk are never observed — skip the
         // zero-fill unless the buffer changes size.
-        if self.msg_arrival.len() != app.message_count() {
-            self.msg_arrival.clear();
-            self.msg_arrival.resize(app.message_count(), TimeUs::ZERO);
+        if msg_arrival.len() != app.message_count() {
+            msg_arrival.clear();
+            msg_arrival.resize(app.message_count(), TimeUs::ZERO);
         }
-        let msg_arrival = &mut self.msg_arrival;
-        self.graph_wc.clear();
-        self.graph_wc.resize(app.graph_count(), TimeUs::ZERO);
-        let graph_wc = &mut self.graph_wc;
+        graph_wc.clear();
+        graph_wc.resize(app.graph_count(), TimeUs::ZERO);
+        let mut scheduled = 0usize;
 
-        while let Some(p) = ready.pop(priorities) {
+        while let Some(p) = pop_highest(ready, priorities) {
             let node = mapping.node_of(p);
             let wcet = wcets[p.index()];
 
+            // Earliest data-ready time over all inputs.
             let mut data_ready = TimeUs::ZERO;
             for &m in app.incoming(p) {
                 data_ready = data_ready.max(msg_arrival[m.index()]);
@@ -553,57 +473,55 @@ impl Scheduler {
             graph_wc[g] = graph_wc[g].max(wc_end);
             node_available[node.index()] = match slack {
                 SlackModel::Shared => finish,
+                // Exclusive windows: the next process starts after the slack.
                 SlackModel::PerProcess => finish + own_slack,
             };
+            sink.process(ProcessSlot {
+                process: p,
+                node,
+                start,
+                finish,
+                wc_end,
+            });
+            scheduled += 1;
 
+            // Emit outputs and release successors.
             for &m in app.outgoing(p) {
                 let msg = app.message(m);
                 let d = msg.dst();
-                msg_arrival[m.index()] = if mapping.node_of(d) == node {
-                    finish
+                let (send, arrival, over_bus) = if mapping.node_of(d) == node {
+                    (finish, finish, false)
                 } else {
                     let send = finish.max(node_bus_busy[node.index()]);
                     let arrival = bus.arrival_time(node, node_count, send, msg.tx_time());
                     node_bus_busy[node.index()] = arrival;
-                    arrival
+                    (send, arrival, true)
                 };
+                msg_arrival[m.index()] = arrival;
+                sink.message(MessageSlot {
+                    message: m,
+                    send,
+                    arrival,
+                    over_bus,
+                });
                 remaining_preds[d.index()] -= 1;
                 if remaining_preds[d.index()] == 0 {
-                    ready.push(d, priorities);
+                    ready.push(d);
                 }
             }
         }
+        debug_assert_eq!(scheduled, app.process_count(), "DAG schedules all");
 
-        let mut wc_length = TimeUs::ZERO;
-        let mut schedulable = true;
-        for (gi, &wc) in graph_wc.iter().enumerate() {
-            wc_length = wc_length.max(wc);
-            if wc > app.graph(ftes_model::GraphId::new(gi as u32)).deadline() {
-                schedulable = false;
-            }
+        let mut verdict = ScheduleVerdict {
+            wc_length: TimeUs::ZERO,
+            schedulable: true,
+        };
+        for (g, &wc) in app.graph_ids().zip(graph_wc.iter()) {
+            verdict.wc_length = verdict.wc_length.max(wc);
+            verdict.schedulable &= wc <= app.graph(g).deadline();
         }
-        Ok(ScheduleVerdict {
-            wc_length,
-            schedulable,
-        })
+        verdict
     }
-}
-
-/// Convenience: the worst-case schedule length for a candidate solution,
-/// without keeping the full schedule.
-///
-/// # Errors
-///
-/// Same as [`schedule`].
-pub fn schedule_length(
-    app: &Application,
-    timing: &TimingDb,
-    arch: &Architecture,
-    mapping: &Mapping,
-    ks: &[u32],
-    bus: BusSpec,
-) -> Result<TimeUs, ModelError> {
-    Ok(schedule(app, timing, arch, mapping, ks, bus)?.wc_length())
 }
 
 #[cfg(test)]
@@ -838,22 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_length_matches_full_schedule() {
-        let sys = paper::fig1_system();
-        let (arch, mapping) = paper::fig4_alternative('a');
-        let len = schedule_length(
-            sys.application(),
-            sys.timing(),
-            &arch,
-            &mapping,
-            &[1, 1],
-            sys.bus(),
-        )
-        .unwrap();
-        assert_eq!(len, TimeUs::from_ms(330));
-    }
-
-    #[test]
     fn gantt_renders_every_node_and_bus() {
         let sys = paper::fig1_system();
         let (arch, mapping) = paper::fig4_alternative('a');
@@ -1012,69 +914,50 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_linear_ready_policies_schedule_identically() {
-        // The indexed ready heap must reproduce the linear max-scan's
-        // selection order exactly — full schedules and light verdicts —
-        // on the paper examples and the TDMA system, under both slack
-        // models. (The hot-kernel differential suite extends this to
-        // generated DAGs.)
-        let fig1 = paper::fig1_system();
-        let mut heap = Scheduler::with_ready_policy(ReadyPolicy::Heap);
-        let mut linear = Scheduler::with_ready_policy(ReadyPolicy::Linear);
-        for v in ['a', 'b', 'c', 'd', 'e'] {
-            let (arch, mapping) = paper::fig4_alternative(v);
-            let ks = vec![1u32; arch.node_count()];
-            for slack in [SlackModel::Shared, SlackModel::PerProcess] {
-                let h = heap
-                    .run(
-                        fig1.application(),
-                        fig1.timing(),
-                        &arch,
-                        &mapping,
-                        &ks,
-                        fig1.bus(),
-                        slack,
-                    )
-                    .unwrap();
-                let l = linear
-                    .run(
-                        fig1.application(),
-                        fig1.timing(),
-                        &arch,
-                        &mapping,
-                        &ks,
-                        fig1.bus(),
-                        slack,
-                    )
-                    .unwrap();
-                assert_eq!(h, l, "variant {v} {slack:?}");
-            }
+    fn equal_priorities_start_in_process_index_order() {
+        // Three independent processes with equal WCETs on one node all
+        // have the same priority, so the tie rule alone orders them: the
+        // smaller process index starts first, under both slack models.
+        use ftes_model::{
+            ApplicationBuilder, Cost, ExecSpec, HLevel, NodeType, Platform, Prob, TimingDb,
+        };
+        let mut b = ApplicationBuilder::new("ties");
+        let g = b.add_graph("G1", TimeUs::from_ms(100));
+        let procs: Vec<ProcessId> = (0..3)
+            .map(|_| b.add_process(g, TimeUs::from_ms(1)))
+            .collect();
+        let app = b.build().unwrap();
+        let platform =
+            Platform::new(vec![NodeType::new("N", vec![Cost::new(1)], 1.0).unwrap()]).unwrap();
+        let mut timing = TimingDb::new(3, &platform);
+        let spec = ExecSpec::new(TimeUs::from_ms(10), Prob::new(1e-5).unwrap()).unwrap();
+        for &p in &procs {
+            timing
+                .set(p, NodeTypeId::new(0), HLevel::MIN, spec)
+                .unwrap();
         }
-        let (app, timing, arch, mapping) = tdma_test_system();
-        let bus = ftes_model::BusSpec::tdma(TimeUs::from_ms(2));
-        let h = heap
-            .run_light(
-                &app,
-                &timing,
-                &arch,
-                &mapping,
-                &[1, 0],
-                bus,
-                SlackModel::Shared,
-            )
-            .unwrap();
-        let l = linear
-            .run_light(
-                &app,
-                &timing,
-                &arch,
-                &mapping,
-                &[1, 0],
-                bus,
-                SlackModel::Shared,
-            )
-            .unwrap();
-        assert_eq!(h, l);
+        let arch = Architecture::with_min_hardening(&[NodeTypeId::new(0)]);
+        let mapping = Mapping::all_on(3, NodeId::new(0));
+        let mut scheduler = Scheduler::new();
+        for slack in [SlackModel::Shared, SlackModel::PerProcess] {
+            let sched = scheduler
+                .run(
+                    &app,
+                    &timing,
+                    &arch,
+                    &mapping,
+                    &[1],
+                    BusSpec::ideal(),
+                    slack,
+                )
+                .unwrap();
+            let starts: Vec<TimeUs> = procs.iter().map(|&p| sched.process_slot(p).start).collect();
+            assert_eq!(starts[0], TimeUs::ZERO, "{slack:?}");
+            assert!(
+                starts.windows(2).all(|w| w[0] < w[1]),
+                "{slack:?}: {starts:?}"
+            );
+        }
     }
 
     #[test]

@@ -51,23 +51,31 @@ pub(crate) fn longest_path_to_sink_into<T: TimingSource>(
     lp.resize(app.process_count(), TimeUs::ZERO);
     // Walk the topological order backwards: successors are finalized first.
     for &p in app.topological_order().iter().rev() {
-        let node = mapping.node_of(p);
-        let inst = arch.node(node);
+        let inst = arch.node(mapping.node_of(p));
         let wcet = timing.wcet(p, inst.node_type, inst.hardening)?;
-        let mut best_tail = TimeUs::ZERO;
-        for &m in app.outgoing(p) {
-            let msg = app.message(m);
-            let succ = msg.dst();
-            let tx = if mapping.node_of(succ) == node {
-                TimeUs::ZERO
-            } else {
-                msg.tx_time()
-            };
-            best_tail = best_tail.max(tx + lp[succ.index()]);
-        }
-        lp[p.index()] = wcet + best_tail;
+        lp[p.index()] = wcet + longest_tail(app, mapping, p, lp);
     }
     Ok(())
+}
+
+/// The longest-path step: the longest path that follows `p` — the max
+/// over `p`'s outgoing messages of the transmission time (counted only
+/// when the message crosses nodes) plus the successor's path in `lp`.
+#[inline]
+fn longest_tail(app: &Application, mapping: &Mapping, p: ProcessId, lp: &[TimeUs]) -> TimeUs {
+    let node = mapping.node_of(p);
+    let mut best = TimeUs::ZERO;
+    for &m in app.outgoing(p) {
+        let msg = app.message(m);
+        let succ = msg.dst();
+        let tx = if mapping.node_of(succ) == node {
+            TimeUs::ZERO
+        } else {
+            msg.tx_time()
+        };
+        best = best.max(tx + lp[succ.index()]);
+    }
+    best
 }
 
 /// Counters of a [`PriorityCache`]: how much DAG work the delta updates
@@ -269,19 +277,7 @@ impl PriorityCache {
                 continue;
             }
             recomputed += 1;
-            let node = mapping.node_of(p);
-            let mut best_tail = TimeUs::ZERO;
-            for &m in app.outgoing(p) {
-                let msg = app.message(m);
-                let succ = msg.dst();
-                let tx = if mapping.node_of(succ) == node {
-                    TimeUs::ZERO
-                } else {
-                    msg.tx_time()
-                };
-                best_tail = best_tail.max(tx + self.lp[succ.index()]);
-            }
-            let new = wcets[pi] + best_tail;
+            let new = wcets[pi] + longest_tail(app, mapping, p, &self.lp);
             if new != self.lp[pi] {
                 self.lp[pi] = new;
                 self.changed[pi] = true;
@@ -314,19 +310,7 @@ impl PriorityCache {
             self.lp.resize(n, TimeUs::ZERO);
         }
         for &p in app.topological_order().iter().rev() {
-            let node = mapping.node_of(p);
-            let mut best_tail = TimeUs::ZERO;
-            for &m in app.outgoing(p) {
-                let msg = app.message(m);
-                let succ = msg.dst();
-                let tx = if mapping.node_of(succ) == node {
-                    TimeUs::ZERO
-                } else {
-                    msg.tx_time()
-                };
-                best_tail = best_tail.max(tx + self.lp[succ.index()]);
-            }
-            self.lp[p.index()] = wcets[p.index()] + best_tail;
+            self.lp[p.index()] = wcets[p.index()] + longest_tail(app, mapping, p, &self.lp);
         }
         self.snapshot(arch, mapping);
         &self.lp

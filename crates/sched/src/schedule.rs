@@ -54,7 +54,7 @@ impl Schedule {
         messages: Vec<MessageSlot>,
         ks: Vec<u32>,
         graph_wc: Vec<TimeUs>,
-        deadlines: &[TimeUs],
+        schedulable: bool,
     ) -> Self {
         let makespan = processes
             .iter()
@@ -66,7 +66,6 @@ impl Schedule {
             .map(|s| s.wc_end)
             .max()
             .unwrap_or(TimeUs::ZERO);
-        let schedulable = graph_wc.iter().zip(deadlines).all(|(wc, d)| wc <= d);
         Schedule {
             processes,
             messages,

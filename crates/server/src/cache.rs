@@ -32,7 +32,7 @@
 //! The header carries what a *different* request on the same scenario
 //! needs to warm-start from this entry: the canonical spec (donor
 //! index), the goal and ArC (donor ranking) and the winning design
-//! points ([`CellSeeds`], encoded by [`encode_seeds`]). A **v1** entry
+//! points ([`CellSeeds`], encoded by `encode_seeds`). A **v1** entry
 //! is bare payload bytes — it cannot start with `{"v":` because the
 //! cell renderer indents its first line — and reads as payload-only
 //! (no donor service); the next store under its key rewrites it as v2.

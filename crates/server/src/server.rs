@@ -9,7 +9,7 @@
 //!   long-lived connection never holds up later accepts, and every
 //!   connection is served at once by its own thread. When its
 //!   connection ends the handler goes back to `accept()`, or exits if
-//!   [`IDLE_HANDLERS`] are already idle, so a burst does not leave its
+//!   `IDLE_HANDLERS` are already idle, so a burst does not leave its
 //!   threads behind. The live handler count is not bounded.
 //! * A `shutdown` request sets the stop flag under the idle-count lock
 //!   and, if a handler is idle, connects to the listener to wake it

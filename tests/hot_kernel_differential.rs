@@ -1,10 +1,10 @@
 //! Differential tests for the PR 5 hot-kernel overhaul, pinning every
 //! layer of the rewrite to its executable specification:
 //!
-//! * **heap scheduler ≡ linear-scan scheduler** — the indexed ready set
-//!   must reproduce the reference linear max-scan's selection order
-//!   exactly: bit-identical `Schedule`s and `ScheduleVerdict`s on
-//!   generated DAGs across graph shapes, slack models and TDMA buses;
+//! * **light verdict ≡ full schedule** — the scheduler's one
+//!   list-scheduling walk, run with and without recording slots, must
+//!   give the same worst-case length and schedulability on generated
+//!   DAGs across graph shapes, budgets, slack models and TDMA buses;
 //! * **priority cache ≡ full recompute** — the delta-synced longest-path
 //!   priorities equal a fresh full DAG pass after arbitrary probe
 //!   sequences (hardening steps, re-maps, undo moves);
@@ -30,7 +30,7 @@ use ftes::opt::{
     initial_mapping, mapping_algorithm_traced, redundancy_opt_memo, EvalMode, Evaluator, MemoCap,
     Objective, OptConfig, RedundancyMemo, RedundancyOutcome, TabuConfig, TabuMove,
 };
-use ftes::sched::{longest_path_to_sink, PriorityCache, ReadyPolicy, Scheduler, SlackModel};
+use ftes::sched::{longest_path_to_sink, PriorityCache, Scheduler, SlackModel};
 use ftes::sfp::{union_failure, NodeSfp, Rounding, SystemSfp};
 use proptest::prelude::*;
 
@@ -60,11 +60,12 @@ fn cell(shape_pick: u8, bus_pick: u8, seed: u64) -> Scenario {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The heap-indexed ready set must schedule bit-identically to the
-    /// linear-scan reference on generated DAGs, for full schedules and
-    /// light verdicts, across slack models, budgets and TDMA buses.
+    /// The verdict walk (`run_light`, which records no slots) must
+    /// agree bit for bit with the materialized schedule (`run`) on
+    /// generated DAGs, across slack models, budgets and TDMA buses, and
+    /// the materialized schedule must satisfy its own invariants.
     #[test]
-    fn heap_scheduler_is_bit_identical_to_linear_scan(
+    fn light_verdict_matches_full_schedule_on_generated_dags(
         index in 0u64..4,
         shape_pick in 0u8..4,
         bus_pick in 0u8..3,
@@ -79,26 +80,17 @@ proptest! {
         let mapping = initial_mapping(&system, &arch).unwrap();
         let ks = [k0, k1];
 
-        let mut heap = Scheduler::with_ready_policy(ReadyPolicy::Heap);
-        let mut linear = Scheduler::with_ready_policy(ReadyPolicy::Linear);
+        let mut scheduler = Scheduler::new();
         for slack in [SlackModel::Shared, SlackModel::PerProcess] {
-            let full_h = heap
+            let full = scheduler
                 .run(app, system.timing(), &arch, &mapping, &ks, system.bus(), slack)
                 .unwrap();
-            let full_l = linear
-                .run(app, system.timing(), &arch, &mapping, &ks, system.bus(), slack)
-                .unwrap();
-            prop_assert_eq!(&full_h, &full_l, "full schedule diverged ({:?})", slack);
-
-            let light_h = heap
+            prop_assert_eq!(full.check_invariants(app, &mapping), None, "{:?}", slack);
+            let light = scheduler
                 .run_light(app, system.timing(), &arch, &mapping, &ks, system.bus(), slack)
                 .unwrap();
-            let light_l = linear
-                .run_light(app, system.timing(), &arch, &mapping, &ks, system.bus(), slack)
-                .unwrap();
-            prop_assert_eq!(light_h, light_l, "light verdict diverged ({:?})", slack);
-            prop_assert_eq!(light_h.wc_length, full_h.wc_length());
-            prop_assert_eq!(light_h.schedulable, full_h.is_schedulable());
+            prop_assert_eq!(light.wc_length, full.wc_length(), "{:?}", slack);
+            prop_assert_eq!(light.schedulable, full.is_schedulable(), "{:?}", slack);
         }
     }
 
