@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for two design choices of the reproduction:
 //!
 //! * **slack sharing** (the paper's Section 6.4 contribution) vs naive
 //!   exclusive per-process slack — measured as scheduler throughput *and*

@@ -8,7 +8,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftes_gen::{BusProfile, GraphShape, Heterogeneity, Scenario, Utilization};
 use ftes_model::{Architecture, HLevel, Mapping, NodeId, ProcessId, System};
-use ftes_opt::{initial_mapping, redundancy_opt_memo, Evaluator, OptConfig, RedundancyMemo};
+use ftes_opt::{initial_mapping, Evaluator, MemoCap, OptConfig, Search};
 use ftes_sched::{PriorityCache, Scheduler, SlackModel};
 
 /// One benchmark fixture: a generated system with a two-node
@@ -140,16 +140,18 @@ fn bench_memo_paths(c: &mut Criterion) {
         })
     });
     group.bench_function("tabu_memo_hit", |b| {
-        let mut evaluator = Evaluator::new(&f.system, &config);
-        let mut memo = RedundancyMemo::from_config(&config);
-        redundancy_opt_memo(&mut evaluator, &mut memo, &f.arch, &f.mapping).unwrap();
-        b.iter(|| redundancy_opt_memo(&mut evaluator, &mut memo, &f.arch, &f.mapping).unwrap())
+        let mut search = Search::new(&f.system, &config);
+        search.redundancy_opt(&f.arch, &f.mapping).unwrap();
+        b.iter(|| search.redundancy_opt(&f.arch, &f.mapping).unwrap())
     });
+    let no_memo = OptConfig {
+        mapping_memo: MemoCap(0),
+        ..OptConfig::default()
+    };
     group.bench_function("tabu_unmemoized_revisit", |b| {
-        let mut evaluator = Evaluator::new(&f.system, &config);
-        let mut memo = RedundancyMemo::new(ftes_opt::MemoCap(0));
-        redundancy_opt_memo(&mut evaluator, &mut memo, &f.arch, &f.mapping).unwrap();
-        b.iter(|| redundancy_opt_memo(&mut evaluator, &mut memo, &f.arch, &f.mapping).unwrap())
+        let mut search = Search::new(&f.system, &no_memo);
+        search.redundancy_opt(&f.arch, &f.mapping).unwrap();
+        b.iter(|| search.redundancy_opt(&f.arch, &f.mapping).unwrap())
     });
     group.finish();
 }
@@ -159,7 +161,10 @@ fn bench_memo_paths(c: &mut Criterion) {
 /// the SoA `SystemSfp` delta splice on a memoized configuration flip.
 fn bench_batched(c: &mut Criterion) {
     let f = fixture(GraphShape::Paper, 0);
-    let config = OptConfig::default();
+    let config = OptConfig {
+        mapping_memo: MemoCap(0),
+        ..OptConfig::default()
+    };
     let timing = f.system.timing();
     // A full single-node-re-map neighborhood, as one tabu iteration
     // would collect it.
@@ -179,26 +184,18 @@ fn bench_batched(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("batched");
     group.bench_function(BenchmarkId::new("score_neighborhood", probes.len()), |b| {
-        let mut evaluator = Evaluator::new(&f.system, &config);
-        let mut memo = RedundancyMemo::new(ftes_opt::MemoCap(0));
+        let mut search = Search::new(&f.system, &config);
         let mut mapping = f.mapping.clone();
         let mut outcomes = Vec::new();
         b.iter(|| {
-            evaluator
-                .score_neighborhood(
-                    &mut memo,
-                    &f.arch,
-                    &mut mapping,
-                    black_box(&probes),
-                    &mut outcomes,
-                )
+            search
+                .score_neighborhood(&f.arch, &mut mapping, black_box(&probes), &mut outcomes)
                 .unwrap();
             outcomes.len()
         })
     });
     group.bench_function(BenchmarkId::new("per_probe_reference", probes.len()), |b| {
-        let mut evaluator = Evaluator::new(&f.system, &config);
-        let mut memo = RedundancyMemo::new(ftes_opt::MemoCap(0));
+        let mut search = Search::new(&f.system, &config);
         let mut mapping = f.mapping.clone();
         let mut outcomes = Vec::new();
         b.iter(|| {
@@ -206,8 +203,7 @@ fn bench_batched(c: &mut Criterion) {
             for &(p, node) in &probes {
                 let from = mapping.node_of(p);
                 mapping.assign(p, node);
-                let out =
-                    redundancy_opt_memo(&mut evaluator, &mut memo, &f.arch, &mapping).unwrap();
+                let out = search.redundancy_opt(&f.arch, &mapping).unwrap();
                 mapping.assign(p, from);
                 outcomes.push(out);
             }

@@ -6,14 +6,18 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use ftes_bench::{sweep_opt_config, Strategy};
 use ftes_gen::{generate_instance, ExperimentConfig};
 use ftes_model::{paper, Architecture};
-use ftes_opt::{design_strategy, initial_mapping, mapping_algorithm, redundancy_opt, Objective};
+use ftes_opt::{design_strategy, initial_mapping, Objective, Search};
 
 fn bench_redundancy_opt(c: &mut Criterion) {
     let sys = paper::fig1_system();
     let (base, mapping) = paper::fig4_alternative('a');
     let cfg = ftes_opt::OptConfig::default();
     c.bench_function("redundancy_opt_fig4a", |b| {
-        b.iter(|| redundancy_opt(&sys, black_box(&base), &mapping, &cfg).unwrap())
+        b.iter(|| {
+            Search::new(&sys, &cfg)
+                .redundancy_opt(black_box(&base), &mapping)
+                .unwrap()
+        })
     });
 }
 
@@ -27,7 +31,11 @@ fn bench_mapping_algorithm(c: &mut Criterion) {
         let cfg = sweep_opt_config(Strategy::Opt);
         let n = sys.application().process_count();
         group.bench_with_input(BenchmarkId::new("procs", n), &sys, |b, sys| {
-            b.iter(|| mapping_algorithm(sys, &base, Objective::ScheduleLength, &cfg, None).unwrap())
+            b.iter(|| {
+                Search::new(sys, &cfg)
+                    .mapping_algorithm(&base, Objective::ScheduleLength, None, None)
+                    .unwrap()
+            })
         });
     }
     group.finish();

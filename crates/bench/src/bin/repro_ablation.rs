@@ -10,29 +10,38 @@
 //! the three fastest node types is evaluated: re-execution budgets from
 //! the SFP analysis, then one schedule per slack model.
 
+use ftes_bench::cli::parse_value;
 use ftes_gen::{generate_instance, ExperimentConfig};
 use ftes_model::Architecture;
 use ftes_opt::initial_mapping;
 use ftes_sched::{schedule_with, SlackModel};
 use ftes_sfp::{node_process_probs, ReExecutionOpt, Rounding};
 
-fn main() {
+/// The usage block printed (to stderr) with every CLI error.
+const USAGE: &str = "usage: repro_ablation [--apps N]";
+
+/// Parses the whole command line into the application count. Every
+/// rejection — an unknown flag, a missing or malformed value — is a
+/// one-line error; the caller prints it plus [`USAGE`] and exits 2.
+fn parse_cli(raw: &[String]) -> Result<usize, String> {
     let mut apps = 150usize;
-    let mut args = std::env::args().skip(1);
+    let mut args = raw.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--apps" => {
-                apps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--apps needs a number");
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            "--apps" => apps = parse_value(&mut args, "--apps", "an application count")?,
+            other => return Err(format!("unknown argument {other}")),
         }
     }
+    Ok(apps)
+}
+
+fn main() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let apps = parse_cli(&raw).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
 
     let condition = ExperimentConfig::default();
     let mut schedulable = [0usize; 2];
@@ -93,4 +102,34 @@ fn main() {
         "mean worst-case inflation without sharing: +{:.1}%",
         100.0 * wc_inflation / total.max(1) as f64
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<usize, String> {
+        let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_cli(&raw)
+    }
+
+    #[test]
+    fn flags_parse_onto_the_defaults() {
+        assert_eq!(parse(&[]), Ok(150));
+        assert_eq!(parse(&["--apps", "12"]), Ok(12));
+        assert!(parse(&["--threads", "2"]).unwrap_err().contains("unknown"));
+    }
+
+    #[test]
+    fn bad_values_error_naming_the_flag() {
+        for (args, why) in [
+            (&["--apps"][..], "missing value"),
+            (&["--apps", "x"][..], "invalid value"),
+            (&["--apps", "1.5"][..], "invalid value"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with("--apps"), "{args:?} error {err:?}");
+            assert!(err.contains(why), "{args:?} error {err:?}");
+        }
+    }
 }

@@ -67,7 +67,7 @@ use super::protocol::{
     checksum, matrix_fingerprint, wake_listener, Frame, FrameReader, RecvError, PROTO_VERSION,
 };
 use super::{DistConfig, DistStats};
-use crate::matrix::{cell_json, run_cell_budgeted};
+use crate::matrix::{cell_json, run_cell_seeded};
 use crate::Strategy;
 
 /// Where a cell currently is in the lease lifecycle.
@@ -553,7 +553,7 @@ pub(super) fn render_cell(
     budget: CoreBudget,
 ) -> String {
     cell_json(
-        &run_cell_budgeted(scenario, strategies, budget),
+        &run_cell_seeded(scenario, strategies, budget, None).0,
         arc,
         timings,
     )

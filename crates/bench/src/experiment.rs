@@ -95,46 +95,22 @@ impl ConditionResult {
     }
 }
 
-/// Runs one strategy over `n_apps` instances produced by `generate`, in
-/// parallel across OS threads (the machine's full core budget). Outcomes
-/// are returned in index order (the worker assignment never leaks into
-/// the result), so any consumer — [`run_condition`], the scenario-matrix
-/// runner — gets deterministic results for a deterministic generator.
+/// Runs one strategy over `n_apps` instances produced by `generate`,
+/// fanned out over at most `budget` workers, each running one
+/// sequential `design_strategy` at a time — so a caller that already
+/// fans out (a matrix cell pool, a server engine slot) never
+/// oversubscribes the machine. Outcomes are returned in index order and,
+/// counters included, are identical for any budget, so any consumer —
+/// [`run_condition`], the scenario-matrix runner — gets deterministic
+/// results for a deterministic generator.
+///
+/// `seeds` is an optional per-application [`WarmStart`] slice (index =
+/// application index): application `i` seeds its design exploration from
+/// `seeds[i]` when one is present and validates against the generated
+/// system. Seeds only redirect each tabu search's start, so a seeded run
+/// explores the same design space — `None` (or an all-`None` slice) is
+/// exactly the cold path.
 pub fn run_strategy_over<F>(
-    generate: F,
-    n_apps: usize,
-    strategy: Strategy,
-) -> Vec<Option<DesignOutcome>>
-where
-    F: Fn(u64) -> ftes_model::System + Sync,
-{
-    run_strategy_over_budgeted(generate, n_apps, strategy, CoreBudget::available())
-}
-
-/// [`run_strategy_over`] constrained to a [`CoreBudget`]: the app-level
-/// fan-out claims at most `budget` workers, each running one sequential
-/// `design_strategy` at a time, so a caller that already fans out (a
-/// matrix cell pool, a server engine slot) never oversubscribes the
-/// machine. Results, counters included, are identical for any budget.
-pub fn run_strategy_over_budgeted<F>(
-    generate: F,
-    n_apps: usize,
-    strategy: Strategy,
-    budget: CoreBudget,
-) -> Vec<Option<DesignOutcome>>
-where
-    F: Fn(u64) -> ftes_model::System + Sync,
-{
-    run_strategy_over_seeded(generate, n_apps, strategy, budget, None)
-}
-
-/// [`run_strategy_over_budgeted`] with an optional per-application
-/// [`WarmStart`] seed slice (index = application index): application `i`
-/// seeds its design exploration from `seeds[i]` when one is present and
-/// validates against the generated system. Seeds only redirect each tabu
-/// search's start, so a seeded run explores the same design space —
-/// `None` (or an all-`None` slice) is exactly the cold path.
-pub fn run_strategy_over_seeded<F>(
     generate: F,
     n_apps: usize,
     strategy: Strategy,
@@ -183,7 +159,13 @@ pub fn run_condition(
     n_apps: usize,
     strategy: Strategy,
 ) -> ConditionResult {
-    let outcomes = run_strategy_over(|i| generate_instance(condition, i), n_apps, strategy);
+    let outcomes = run_strategy_over(
+        |i| generate_instance(condition, i),
+        n_apps,
+        strategy,
+        CoreBudget::available(),
+        None,
+    );
     ConditionResult {
         best_cost: outcomes
             .into_iter()
@@ -276,11 +258,12 @@ mod tests {
         let condition = ExperimentConfig::default();
         for seed in 0..6 {
             let run = |cores| {
-                run_strategy_over_budgeted(
+                run_strategy_over(
                     |_| generate_instance(&condition, seed),
                     1,
                     Strategy::Opt,
                     CoreBudget::new(cores),
+                    None,
                 )
             };
             let (one, two) = (run(1), run(2));

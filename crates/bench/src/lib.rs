@@ -46,14 +46,13 @@ pub use dist::{
     WorkerOutcome, WorkerReport,
 };
 pub use experiment::{
-    acceptance_row, run_condition, run_strategy_over, run_strategy_over_budgeted,
-    run_strategy_over_seeded, sweep_opt_config, AcceptanceRow, ConditionResult, Strategy,
+    acceptance_row, run_condition, run_strategy_over, sweep_opt_config, AcceptanceRow,
+    ConditionResult, Strategy,
 };
 pub use figures::{cruise_controller, fig6a, fig6b, fig6c, fig6d, CcOutcome};
 pub use matrix::{
-    cell_json, json_footer, json_header, json_header_with, render_table_row, run_cell,
-    run_cell_budgeted, run_cell_seeded, run_cell_strategy_seeded, run_cells, run_cells_streaming,
-    run_matrix, BenchMeta, CellResult, CellSeeds, MatrixReport, MatrixRunConfig, Shard,
-    StrategyCell,
+    cell_json, json_footer, json_header, json_header_with, render_table_row, run_cell_seeded,
+    run_cells, run_cells_streaming, run_matrix, BenchMeta, CellResult, CellSeeds, MatrixReport,
+    MatrixRunConfig, Shard, StrategyCell,
 };
 pub use merge::{merge_shard_texts, merge_shards, parse_shard_doc, read_shard_file, ShardDoc};

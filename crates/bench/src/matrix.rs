@@ -36,7 +36,7 @@ use ftes_model::Cost;
 use ftes_opt::{CoreBudget, Threads, WarmStart};
 use serde::{Deserialize, Serialize};
 
-use crate::experiment::{run_strategy_over_seeded, Strategy};
+use crate::experiment::{run_strategy_over, Strategy};
 
 /// Result of one strategy over one cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -228,57 +228,12 @@ fn warm_start_of(solution: &ftes_opt::Solution) -> WarmStart {
     }
 }
 
-/// Runs one strategy over one cell within a [`CoreBudget`], seeding
-/// application `i` from `seeds[i]` when present (`None` is the cold
-/// path), and returns the winning design points so the caller can store
-/// them for future warm starts.
-pub fn run_cell_strategy_seeded(
-    scenario: &Scenario,
-    strategy: Strategy,
-    budget: CoreBudget,
-    seeds: Option<&[Option<WarmStart>]>,
-) -> (StrategyCell, Vec<Option<WarmStart>>) {
-    let start = std::time::Instant::now();
-    let outcomes = run_strategy_over_seeded(
-        |i| scenario.generate(i),
-        scenario.apps,
-        strategy,
-        budget,
-        seeds,
-    );
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let cell = StrategyCell {
-        strategy,
-        best_cost: outcomes
-            .iter()
-            .map(|o| o.as_ref().map(|o| o.solution.cost.units()))
-            .collect(),
-        schedule_len_us: outcomes
-            .iter()
-            .map(|o| o.as_ref().map(|o| o.solution.schedule_length().as_us()))
-            .collect(),
-        wall_seconds,
-    };
-    let winners = outcomes
-        .iter()
-        .map(|o| o.as_ref().map(|o| warm_start_of(&o.solution)))
-        .collect();
-    (cell, winners)
-}
-
 /// Runs every requested strategy over one cell within a [`CoreBudget`].
-pub fn run_cell_budgeted(
-    scenario: &Scenario,
-    strategies: &[Strategy],
-    budget: CoreBudget,
-) -> CellResult {
-    run_cell_seeded(scenario, strategies, budget, None).0
-}
-
-/// [`run_cell_budgeted`] with an optional warm-start donor: each
-/// strategy's tabu searches seed from the donor's design points
-/// ([`CellSeeds::for_strategy`]), and the cell's own winners are returned
-/// for the caller to cache. A `None` donor is exactly the cold path.
+///
+/// With a warm-start `donor`, each strategy's tabu searches seed from the
+/// donor's design points ([`CellSeeds::for_strategy`]); a `None` donor is
+/// exactly the cold path. The cell's own winners are returned alongside
+/// the result for the caller to cache as a future donor.
 pub fn run_cell_seeded(
     scenario: &Scenario,
     strategies: &[Strategy],
@@ -287,11 +242,34 @@ pub fn run_cell_seeded(
 ) -> (CellResult, CellSeeds) {
     let mut rows = Vec::with_capacity(strategies.len());
     let mut winners = CellSeeds::default();
-    for &s in strategies {
-        let seeds = donor.and_then(|d| d.for_strategy(s));
-        let (row, won) = run_cell_strategy_seeded(scenario, s, budget, seeds);
-        rows.push(row);
-        winners.strategies.push((s, won));
+    for &strategy in strategies {
+        let seeds = donor.and_then(|d| d.for_strategy(strategy));
+        let start = std::time::Instant::now();
+        let outcomes = run_strategy_over(
+            |i| scenario.generate(i),
+            scenario.apps,
+            strategy,
+            budget,
+            seeds,
+        );
+        let wall_seconds = start.elapsed().as_secs_f64();
+        rows.push(StrategyCell {
+            strategy,
+            best_cost: outcomes
+                .iter()
+                .map(|o| o.as_ref().map(|o| o.solution.cost.units()))
+                .collect(),
+            schedule_len_us: outcomes
+                .iter()
+                .map(|o| o.as_ref().map(|o| o.solution.schedule_length().as_us()))
+                .collect(),
+            wall_seconds,
+        });
+        let won = outcomes
+            .iter()
+            .map(|o| o.as_ref().map(|o| warm_start_of(&o.solution)))
+            .collect();
+        winners.strategies.push((strategy, won));
     }
     (
         CellResult {
@@ -302,9 +280,22 @@ pub fn run_cell_seeded(
     )
 }
 
-/// Runs every requested strategy over one cell on the full core budget.
+/// [`run_cell_seeded`] cold, without the winners. Kept only because the
+/// benchmark package (`perfbench/`) links this name.
+#[doc(hidden)]
+pub fn run_cell_budgeted(
+    scenario: &Scenario,
+    strategies: &[Strategy],
+    budget: CoreBudget,
+) -> CellResult {
+    run_cell_seeded(scenario, strategies, budget, None).0
+}
+
+/// [`run_cell_seeded`] cold on the full core budget. Kept only because
+/// the benchmark package (`perfbench/`) links this name.
+#[doc(hidden)]
 pub fn run_cell(scenario: &Scenario, strategies: &[Strategy]) -> CellResult {
-    run_cell_budgeted(scenario, strategies, CoreBudget::available())
+    run_cell_seeded(scenario, strategies, CoreBudget::available(), None).0
 }
 
 /// Shared state of the streaming pool: the claim cursor, the emit cursor,
@@ -385,7 +376,7 @@ pub fn run_cells_streaming<F>(
     if workers <= 1 {
         // Sequential reference path: claim, run and emit in order.
         for (i, scenario) in selected.iter().enumerate() {
-            emit(i, run_cell_budgeted(scenario, strategies, budget));
+            emit(i, run_cell_seeded(scenario, strategies, budget, None).0);
         }
         return;
     }
@@ -423,7 +414,7 @@ pub fn run_cells_streaming<F>(
                         st.claimed += 1;
                         st.claimed - 1
                     };
-                    let result = run_cell_budgeted(selected[i], strategies, per_cell);
+                    let (result, _) = run_cell_seeded(selected[i], strategies, per_cell, None);
                     let mut st = state.lock().unwrap();
                     st.done.insert(i, result);
                     drop(st);
@@ -786,8 +777,8 @@ mod tests {
         // The (Ideal, Mild, Relaxed) cell is exactly the Fig. 6 default
         // condition: the matrix runner must reproduce run_condition's costs.
         let scenario = tiny_cell();
-        let (cell, _) =
-            run_cell_strategy_seeded(&scenario, Strategy::Opt, CoreBudget::available(), None);
+        let (cell, _) = run_cell_seeded(&scenario, &[Strategy::Opt], CoreBudget::available(), None);
+        let cell = &cell.strategies[0];
         let reference = crate::experiment::run_condition(
             &ftes_gen::ExperimentConfig::default(),
             scenario.apps,
@@ -804,14 +795,13 @@ mod tests {
     #[test]
     fn golden_json_is_deterministic_and_timing_free() {
         let scenario = tiny_cell();
-        let report = MatrixReport {
-            cells: vec![run_cell(&scenario, &[Strategy::Opt])],
+        let run = || MatrixReport {
+            cells: vec![
+                run_cell_seeded(&scenario, &[Strategy::Opt], CoreBudget::available(), None).0,
+            ],
             arc: Cost::new(20),
         };
-        let again = MatrixReport {
-            cells: vec![run_cell(&scenario, &[Strategy::Opt])],
-            arc: Cost::new(20),
-        };
+        let (report, again) = (run(), run());
         assert_eq!(report.golden_json(), again.golden_json());
         assert!(!report.golden_json().contains("wall_seconds"));
         assert!(report.bench_json(3, true).contains("wall_seconds"));
@@ -951,7 +941,7 @@ mod tests {
                 let (live, peak) = (&live, &peak);
                 scope.spawn(move || {
                     for cell in chunk {
-                        let _ = crate::experiment::run_strategy_over_budgeted(
+                        let _ = crate::experiment::run_strategy_over(
                             |i| {
                                 let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                                 peak.fetch_max(now, Ordering::SeqCst);
@@ -962,6 +952,7 @@ mod tests {
                             2,
                             Strategy::Min,
                             per_cell,
+                            None,
                         );
                     }
                 });

@@ -2,8 +2,8 @@
 //!
 //! The DATE'09 paper takes the process failure probabilities `p_ijh` from
 //! fault-injection experiments (GOOFI \[1\], FPGA-based injection \[18\]) on
-//! real hardened processors. This crate is the reproduction's substitute
-//! substrate (see `DESIGN.md` §3):
+//! real hardened processors. Those measurements are not available, so
+//! this crate is the reproduction's substitute substrate:
 //!
 //! * [`SerModel`] — per-cycle soft-error rates as a function of the
 //!   hardening level (default: 100× reduction per level, matching the

@@ -13,8 +13,8 @@
 //! The table layout in the published PDF is scrambled by text extraction;
 //! the values here are reconstructed such that **every** derived number in
 //! the paper holds (architecture costs Ca…Ce, the Appendix A.2
-//! probabilities, and the Fig. 3/Fig. 4 schedulability verdicts). See
-//! `DESIGN.md` for the reconstruction argument.
+//! probabilities, and the Fig. 3/Fig. 4 schedulability verdicts); the
+//! `paper_examples` and `appendix_a2` test suites check each of them.
 
 use crate::architecture::Architecture;
 use crate::builder::ApplicationBuilder;

@@ -21,9 +21,8 @@ use serde::{Deserialize, Serialize};
 use crate::arch_iter::architectures_with_n_nodes;
 use crate::config::{Objective, OptConfig, WarmStart};
 use crate::evaluation::Solution;
-use crate::incremental::{Candidate, EvalStats, Evaluator};
-use crate::mapping_opt::mapping_algorithm_with;
-use crate::redundancy::RedundancyMemo;
+use crate::incremental::{Candidate, EvalStats};
+use crate::search::Search;
 
 /// Statistics of one design-space exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -45,15 +44,6 @@ pub struct ExplorationStats {
     pub eval: EvalStats,
 }
 
-/// The search state of one exploration: the incremental candidate
-/// evaluator plus the cross-iteration mapping-outcome memo. Kept together
-/// so both memo layers persist across every probe of the walk.
-#[derive(Debug)]
-struct SearchState<'a> {
-    evaluator: Evaluator<'a>,
-    memo: RedundancyMemo,
-}
-
 /// Outcome of [`design_strategy`]: the cheapest schedulable, reliable
 /// solution plus exploration statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +55,7 @@ pub struct DesignOutcome {
 }
 
 /// Result of the Fig. 5 inner loop (lines 7–13) for one architecture.
-enum ArchOutcome {
+pub(crate) enum ArchOutcome {
     /// Mapping optimization ran; `None` = reliability goal unreachable on
     /// this architecture (Fig. 5 discards it silently).
     Evaluated(Option<Arc<Candidate>>),
@@ -94,8 +84,8 @@ enum ArchOutcome {
 ///
 /// On the paper's Fig. 1 example the strategy finds a two-node solution at
 /// least as cheap as the paper's Fig. 4a optimum (72 units; with the
-/// reconstructed tables the search finds an even cheaper mixed-hardening
-/// alternative, see `DESIGN.md`):
+/// reconstructed timing and cost tables the search finds an even cheaper
+/// mixed-hardening alternative that passes the same analysis):
 ///
 /// ```
 /// use ftes_model::{paper, Cost};
@@ -126,10 +116,7 @@ pub fn design_strategy(
         worker_threads: 1,
         ..ExplorationStats::default()
     };
-    let mut search = SearchState {
-        evaluator: Evaluator::new(system, config),
-        memo: RedundancyMemo::from_config(config),
-    };
+    let mut search = Search::new(system, config);
 
     let mut n = 1usize;
     loop {
@@ -199,13 +186,11 @@ pub fn design_strategy(
         }
     }
 
-    stats.eval = search.evaluator.stats();
-    stats.eval.mapping_memo_hits += search.memo.hits();
-    stats.eval.mapping_memo_misses += search.memo.misses();
+    stats.eval = search.stats();
     // Materialize the winning candidate's full schedule once, at the very
     // end — probe evaluations only ever carried the schedulability verdict.
     let best = match best {
-        Some(candidate) => Some(search.evaluator.materialize(&candidate)?),
+        Some(candidate) => Some(candidate.materialize(system)?),
         None => None,
     };
     Ok(best.map(|solution| DesignOutcome { solution, stats }))
@@ -238,24 +223,25 @@ fn validated_warm_start(system: &System, seed: &WarmStart) -> Option<(Vec<NodeTy
     Some((seed.types.clone(), Mapping::new(seed.mapping.clone())))
 }
 
-/// Runs the Fig. 5 inner loop (lines 7–13) for one architecture. `seed`,
-/// when present, replaces the greedy initial mapping of the
+/// Runs the Fig. 5 inner loop (lines 7–13) for one architecture — for
+/// the design strategy's walk and for
+/// [`optimize_fixed_architecture`](crate::optimize_fixed_architecture).
+/// `seed`, when present, replaces the greedy initial mapping of the
 /// schedule-length tabu pass with a validated warm-start donor mapping.
-fn explore_one(
-    search: &mut SearchState<'_>,
+///
+/// A returned candidate is always schedulable: the cost pass starts from
+/// the schedulable schedule-length winner and only replaces its best on
+/// a strictly lower score, so a schedulable cost-pass outcome never
+/// costs more than its start.
+pub(crate) fn explore_one(
+    search: &mut Search<'_>,
     types: &[NodeTypeId],
     seed: Option<&Mapping>,
 ) -> Result<ArchOutcome, ModelError> {
-    let SearchState { evaluator, memo } = search;
     let base = Architecture::with_min_hardening(types);
     // Line 7: shortest schedule for the best mapping.
-    let Some(sl_out) = mapping_algorithm_with(
-        evaluator,
-        memo,
-        &base,
-        Objective::ScheduleLength,
-        seed.cloned(),
-    )?
+    let Some(sl_out) =
+        search.mapping_algorithm(&base, Objective::ScheduleLength, seed.cloned(), None)?
     else {
         return Ok(ArchOutcome::Evaluated(None)); // reliability goal unreachable
     };
@@ -266,7 +252,7 @@ fn explore_one(
     // shared memo makes this pass's re-probes of the first pass's
     // neighbourhood single-hash lookups.
     let seed = sl_out.solution.mapping.clone();
-    let cost_out = mapping_algorithm_with(evaluator, memo, &base, Objective::Cost, Some(seed))?;
+    let cost_out = search.mapping_algorithm(&base, Objective::Cost, Some(seed), None)?;
     let candidate = match cost_out {
         Some(out) if out.schedulable => out.solution,
         _ => sl_out.solution,
@@ -286,7 +272,7 @@ mod tests {
         // reconstructed tables the full search additionally finds a valid
         // mixed-hardening solution at cost 52 (N1² + N2¹ with k = (1, 3)),
         // which satisfies the same SFP analysis and deadline — so we assert
-        // "at least as good as the paper's optimum". See DESIGN.md §7.
+        // "at least as good as the paper's optimum".
         let sys = paper::fig1_system();
         let out = design_strategy(&sys, &OptConfig::default())
             .unwrap()

@@ -3,13 +3,15 @@
 //! The cruise-controller experiment of Section 7 runs on a *given*
 //! three-module architecture (ETM, ABS, TCM): the node set is fixed and the
 //! exploration only decides hardening levels, mapping and re-execution
-//! budgets. This entry point skips the architecture enumeration of Fig. 5.
+//! budgets. This entry point skips the architecture enumeration of Fig. 5
+//! and runs its inner loop (lines 7–13) once, on the given node types.
 
-use ftes_model::{Architecture, ModelError, NodeTypeId, System};
+use ftes_model::{ModelError, NodeTypeId, System};
 
-use crate::config::{Objective, OptConfig};
+use crate::config::OptConfig;
+use crate::design_strategy::{explore_one, ArchOutcome};
 use crate::evaluation::Solution;
-use crate::mapping_opt::mapping_algorithm;
+use crate::search::Search;
 
 /// Optimizes hardening, mapping and re-executions for a fixed set of node
 /// types. Returns the cheapest schedulable solution, or `None` if the
@@ -41,22 +43,11 @@ pub fn optimize_fixed_architecture(
     types: &[NodeTypeId],
     config: &OptConfig,
 ) -> Result<Option<Solution>, ModelError> {
-    let base = Architecture::with_min_hardening(types);
-    let Some(sl_out) = mapping_algorithm(system, &base, Objective::ScheduleLength, config, None)?
-    else {
-        return Ok(None);
-    };
-    if !sl_out.schedulable {
-        return Ok(None);
+    match explore_one(&mut Search::new(system, config), types, None)? {
+        // Materialize the winner's schedule through the specification path.
+        ArchOutcome::Evaluated(Some(candidate)) => Ok(Some(candidate.materialize(system)?)),
+        ArchOutcome::Evaluated(None) | ArchOutcome::Unschedulable => Ok(None),
     }
-    let seed = sl_out.solution.mapping.clone();
-    let cost_out = mapping_algorithm(system, &base, Objective::Cost, config, Some(seed))?;
-    let candidate = match cost_out {
-        Some(out) if out.schedulable && out.solution.cost <= sl_out.solution.cost => out.solution,
-        _ => sl_out.solution,
-    };
-    // Materialize the winner's schedule through the specification path.
-    Ok(Some(candidate.materialize(system)?))
 }
 
 #[cfg(test)]

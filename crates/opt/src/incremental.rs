@@ -27,7 +27,7 @@
 //!    lookups left in the loop.
 //!
 //! There is no per-candidate result memo: whole-mapping revisits are
-//! absorbed one level up by [`RedundancyMemo`](crate::RedundancyMemo),
+//! absorbed one level up by the mapping-outcome memo of [`Search`](crate::Search),
 //! and the few remaining repeats (a reduction step revisiting an
 //! increase-phase trial) are cheaper to re-run through the delta path
 //! than to keep every candidate alive for. Every probe therefore runs the
@@ -67,7 +67,7 @@ const ARCH_POOL_CAP: usize = 8;
 /// schedulability verdict, the budgets and the cost; the full
 /// [`Schedule`](ftes_sched::Schedule) is expensive to materialize and is
 /// only needed for solutions that survive the search — call
-/// [`Evaluator::materialize`] (or [`evaluate_fixed`]) to obtain the
+/// [`Candidate::materialize`] (or [`evaluate_fixed`]) to obtain the
 /// corresponding [`Solution`]. Field names mirror [`Solution`] so
 /// consumers read `candidate.cost`, `candidate.ks`, … identically.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,7 +166,7 @@ pub struct EvalStats {
     /// Tabu probes that ran the full redundancy optimization.
     pub mapping_memo_misses: u64,
     /// Probes scored through the batched neighborhood kernel
-    /// ([`Evaluator::score_neighborhood`]).
+    /// ([`Search::score_neighborhood`](crate::Search::score_neighborhood)).
     pub batched_probes: u64,
     /// Evaluations whose `Candidate` was recycled from the probe arena
     /// instead of freshly allocated.
@@ -553,16 +553,6 @@ impl<'a> Evaluator<'a> {
         };
         Ok(candidate)
     }
-
-    /// Materializes a surviving candidate's [`Solution`] — see
-    /// [`Candidate::materialize`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors.
-    pub fn materialize(&self, candidate: &Candidate) -> Result<Solution, ModelError> {
-        candidate.materialize(self.system)
-    }
 }
 
 /// `clone_from`-style buffer reuse for plain-old-data slices.
@@ -602,7 +592,11 @@ mod tests {
             );
             // The materialized solution must equal the from-scratch one.
             if let (Some(candidate), Some(solution)) = (&incr, &scratch) {
-                assert_eq!(&ev.materialize(candidate).unwrap(), solution, "variant {v}");
+                assert_eq!(
+                    &candidate.materialize(&sys).unwrap(),
+                    solution,
+                    "variant {v}"
+                );
             }
         }
     }
@@ -747,7 +741,7 @@ mod tests {
                 "probe ({proc_i},{node_i},{level})"
             );
             if let (Some(candidate), Some(solution)) = (&incr, &scratch) {
-                assert_eq!(&ev.materialize(candidate).unwrap(), solution);
+                assert_eq!(&candidate.materialize(&system).unwrap(), solution);
             }
         }
     }

@@ -8,12 +8,18 @@
 //! The layering mirrors Fig. 5 of the paper:
 //!
 //! ```text
-//! design_strategy                  (architecture exploration, Cbest pruning)
-//!   └─ mapping_algorithm           (tabu search over critical-path moves)
-//!        └─ redundancy_opt         (hardening ↑ then ↓, per mapping)
-//!             └─ ReExecutionOpt    (greedy k_j from the SFP analysis)
-//!                  └─ schedule     (list scheduler with shared slack)
+//! design_strategy                         (architecture exploration, Cbest pruning)
+//!   └─ Search::mapping_algorithm          (tabu search over critical-path moves)
+//!        └─ Search::redundancy_opt        (hardening ↑ then ↓, per mapping, memoized)
+//!             └─ ReExecutionOpt           (greedy k_j from the SFP analysis)
+//!                  └─ schedule            (list scheduler with shared slack)
 //! ```
+//!
+//! One [`Search`] carries the engine state of a run — the candidate
+//! [`Evaluator`] and the mapping-outcome memo, built from one
+//! [`OptConfig`] — and exposes each layer below the design strategy as a
+//! method. [`optimize_fixed_architecture`] runs the same inner loop on a
+//! given node selection.
 //!
 //! The paper's three compared strategies are selected via
 //! [`HardeningPolicy`]: `Optimize` (OPT), `FixedMin` (MIN), `FixedMax`
@@ -52,6 +58,7 @@ mod incremental;
 mod mapping_opt;
 mod memo;
 mod redundancy;
+mod search;
 
 pub use arch_iter::architectures_with_n_nodes;
 pub use config::{
@@ -62,11 +69,7 @@ pub use design_strategy::{design_strategy, DesignOutcome, ExplorationStats};
 pub use evaluation::{evaluate_fixed, Solution};
 pub use fixed_arch::optimize_fixed_architecture;
 pub use incremental::{Candidate, EvalStats, Evaluator};
-pub use mapping_opt::{
-    initial_mapping, mapping_algorithm, mapping_algorithm_traced, mapping_algorithm_with,
-    solution_score, TabuMove,
-};
+pub use mapping_opt::{initial_mapping, TabuMove};
 pub use memo::SlruCache;
-pub use redundancy::{
-    redundancy_opt, redundancy_opt_memo, redundancy_opt_with, RedundancyMemo, RedundancyOutcome,
-};
+pub use redundancy::{redundancy_opt, RedundancyOutcome};
+pub use search::Search;

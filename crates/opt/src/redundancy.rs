@@ -15,15 +15,13 @@
 //! Candidates whose reliability goal is unreachable (no re-execution budget
 //! suffices) are discarded, exactly like unschedulable ones.
 
-use std::hash::Hasher;
 use std::sync::Arc;
 
-use ftes_model::fasthash::FastHasher;
-use ftes_model::{Architecture, Mapping, ModelError, NodeId, NodeTypeId, System};
+use ftes_model::{Architecture, Mapping, ModelError, NodeId, System};
 
-use crate::config::{HardeningPolicy, MemoCap, OptConfig};
+use crate::config::{HardeningPolicy, OptConfig};
 use crate::incremental::{Candidate, Evaluator};
-use crate::memo::SlruCache;
+use crate::search::Search;
 
 /// Result of the redundancy optimization for one mapping.
 ///
@@ -32,7 +30,7 @@ use crate::memo::SlruCache;
 /// sharing keeps those copies pointer-sized. The candidate carries
 /// everything the search scores by (cost, budgets, worst-case length,
 /// schedulability); materialize the full [`Solution`](crate::Solution)
-/// via [`Evaluator::materialize`] when the static schedule itself is
+/// via [`Candidate::materialize`] when the static schedule itself is
 /// needed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RedundancyOutcome {
@@ -42,151 +40,21 @@ pub struct RedundancyOutcome {
     pub schedulable: bool,
 }
 
-/// The cross-iteration mapping-outcome memo: `(node types, mapping) →
-/// redundancy outcome`, LRU-bounded via [`OptConfig::mapping_memo`].
-///
-/// The tabu search revisits mappings constantly — recently tried moves,
-/// the `Cost` pass re-walking the `ScheduleLength` pass's neighbourhood —
-/// and every revisit replays the whole hardening phase walk (dozens of
-/// executed candidate probes). This memo collapses a revisit to **one**
-/// fasthash of the mapping vector. Keys are verified exactly on hit (the
-/// stored types and mapping are compared), so a hash collision degrades
-/// to a miss instead of a wrong result — outcomes stay bit-identical to
-/// the unmemoized walk, which remains selectable via `MemoCap(0)` and is
-/// pinned by the hot-kernel differential suite.
-///
-/// The key deliberately ignores `base`'s hardening levels: the redundancy
-/// optimization controls them (per [`HardeningPolicy`]), so its outcome
-/// depends only on the node *types* and the mapping.
-#[derive(Debug)]
-pub struct RedundancyMemo {
-    cache: SlruCache<u64, MemoEntry>,
-    hits: u64,
-    misses: u64,
-}
-
-#[derive(Debug)]
-struct MemoEntry {
-    types: Vec<NodeTypeId>,
-    mapping: Vec<NodeId>,
-    outcome: Option<RedundancyOutcome>,
-}
-
-impl RedundancyMemo {
-    /// A memo bounded at `cap` entries; `MemoCap(0)` disables it (every
-    /// probe runs the unmemoized reference walk).
-    pub fn new(cap: MemoCap) -> Self {
-        RedundancyMemo {
-            cache: SlruCache::new(cap.0),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// A memo sized from `config.mapping_memo` — except under
-    /// [`EvalMode::Scratch`](crate::EvalMode::Scratch), which is the
-    /// fully unmemoized executable specification (and the perf
-    /// baseline): there the memo is disabled regardless of the cap.
-    pub fn from_config(config: &OptConfig) -> Self {
-        if config.eval_mode == crate::config::EvalMode::Scratch {
-            return RedundancyMemo::new(MemoCap(0));
-        }
-        RedundancyMemo::new(config.mapping_memo)
-    }
-
-    /// Probes resolved from the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Probes that ran the full redundancy optimization.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    fn key(base: &Architecture, mapping: &Mapping) -> u64 {
-        let mut h = FastHasher::default();
-        h.write_usize(base.node_count());
-        for node in base.nodes() {
-            h.write_u32(node.node_type.index() as u32);
-        }
-        for &n in mapping.as_slice() {
-            h.write_u32(n.index() as u32);
-        }
-        h.finish()
-    }
-}
-
-/// [`redundancy_opt_with`] behind the cross-iteration [`RedundancyMemo`]:
-/// a revisited `(node types, mapping)` candidate returns its memoized
-/// outcome without re-walking the hardening phases. Bit-identical to the
-/// unmemoized walk (the memoized value *is* a previous walk's result, and
-/// the walk is deterministic in its inputs).
-///
-/// # Errors
-///
-/// Propagates model errors from evaluation.
-pub fn redundancy_opt_memo(
-    evaluator: &mut Evaluator<'_>,
-    memo: &mut RedundancyMemo,
-    base: &Architecture,
-    mapping: &Mapping,
-) -> Result<Option<RedundancyOutcome>, ModelError> {
-    if !memo.cache.enabled() {
-        return redundancy_opt_with(evaluator, base, mapping);
-    }
-    let key = RedundancyMemo::key(base, mapping);
-    if let Some(entry) = memo.cache.get(&key) {
-        let exact = entry
-            .types
-            .iter()
-            .copied()
-            .eq(base.nodes().iter().map(|n| n.node_type))
-            && entry.mapping.as_slice() == mapping.as_slice();
-        if exact {
-            memo.hits += 1;
-            return Ok(entry.outcome.clone());
-        }
-    }
-    memo.misses += 1;
-    let outcome = redundancy_opt_with(evaluator, base, mapping)?;
-    memo.cache.insert(
-        key,
-        MemoEntry {
-            types: base.nodes().iter().map(|n| n.node_type).collect(),
-            mapping: mapping.as_slice().to_vec(),
-            outcome: outcome.clone(),
-        },
-    );
-    Ok(outcome)
-}
-
-/// Runs the hardening/re-execution trade-off for a fixed mapping on the
-/// given node slots.
-///
-/// `base` carries the node types of the architecture; its hardening levels
-/// are ignored (the search controls them, honouring
-/// [`HardeningPolicy`]). Returns `Ok(None)` when *no* hardening vector
-/// admits the reliability goal.
-///
-/// # Errors
-///
-/// Propagates model errors from evaluation.
+/// [`Search::redundancy_opt`] on a fresh search. Kept only because the
+/// benchmark package (`perfbench/`) links this name.
+#[doc(hidden)]
 pub fn redundancy_opt(
     system: &System,
     base: &Architecture,
     mapping: &Mapping,
     config: &OptConfig,
 ) -> Result<Option<RedundancyOutcome>, ModelError> {
-    let mut evaluator = Evaluator::new(system, config);
-    redundancy_opt_with(&mut evaluator, base, mapping)
+    Search::new(system, config).redundancy_opt(base, mapping)
 }
 
-/// [`redundancy_opt`] on a caller-provided [`Evaluator`], so the
-/// incremental SFP state and the candidate arena persist across the
-/// probes of an enclosing search (the tabu mapping loop, the architecture
-/// exploration).
-pub fn redundancy_opt_with(
+/// The unmemoized redundancy walk: [`Search::redundancy_opt`]'s miss
+/// path. Hardening levels of `base` are ignored.
+pub(crate) fn redundancy_walk(
     evaluator: &mut Evaluator<'_>,
     base: &Architecture,
     mapping: &Mapping,
@@ -345,6 +213,7 @@ fn optimize_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MemoCap;
     use ftes_model::{paper, Cost, HLevel, TimeUs};
 
     #[test]
@@ -354,7 +223,8 @@ mod tests {
         // more expensive.
         let sys = paper::fig1_system();
         let (base, mapping) = paper::fig4_alternative('a');
-        let out = redundancy_opt(&sys, &base, &mapping, &OptConfig::default())
+        let out = Search::new(&sys, &OptConfig::default())
+            .redundancy_opt(&base, &mapping)
             .unwrap()
             .expect("goal reachable");
         assert!(out.schedulable);
@@ -371,7 +241,8 @@ mod tests {
         // hardening level (Fig. 4e).
         let sys = paper::fig1_system();
         let (base, mapping) = paper::fig4_alternative('e');
-        let out = redundancy_opt(&sys, &base, &mapping, &OptConfig::default())
+        let out = Search::new(&sys, &OptConfig::default())
+            .redundancy_opt(&base, &mapping)
             .unwrap()
             .expect("goal reachable");
         assert!(out.schedulable);
@@ -389,7 +260,8 @@ mod tests {
         // hardening level and must be reported as such.
         let sys = paper::fig1_system();
         let (base, mapping) = paper::fig4_alternative('d');
-        let out = redundancy_opt(&sys, &base, &mapping, &OptConfig::default())
+        let out = Search::new(&sys, &OptConfig::default())
+            .redundancy_opt(&base, &mapping)
             .unwrap()
             .expect("reliability reachable even though unschedulable");
         assert!(!out.schedulable);
@@ -403,7 +275,8 @@ mod tests {
             policy: HardeningPolicy::FixedMin,
             ..OptConfig::default()
         };
-        let out = redundancy_opt(&sys, &base, &mapping, &config)
+        let out = Search::new(&sys, &config)
+            .redundancy_opt(&base, &mapping)
             .unwrap()
             .expect("reachable in software alone");
         let arch = &out.solution.architecture;
@@ -424,7 +297,8 @@ mod tests {
             policy: HardeningPolicy::FixedMax,
             ..OptConfig::default()
         };
-        let out = redundancy_opt(&sys, &base, &mapping, &config)
+        let out = Search::new(&sys, &config)
+            .redundancy_opt(&base, &mapping)
             .unwrap()
             .expect("reachable");
         let arch = &out.solution.architecture;
@@ -437,22 +311,28 @@ mod tests {
     fn memoized_revisit_returns_the_identical_outcome() {
         let sys = paper::fig1_system();
         let config = OptConfig::default();
-        let mut evaluator = Evaluator::new(&sys, &config);
-        let mut memo = RedundancyMemo::from_config(&config);
+        let mut search = Search::new(&sys, &config);
         let (base, mapping) = paper::fig4_alternative('a');
 
-        let first = redundancy_opt_memo(&mut evaluator, &mut memo, &base, &mapping)
+        let first = search
+            .redundancy_opt(&base, &mapping)
             .unwrap()
             .expect("reachable");
-        assert_eq!(memo.hits(), 0);
-        assert_eq!(memo.misses(), 1);
-        let second = redundancy_opt_memo(&mut evaluator, &mut memo, &base, &mapping)
+        assert_eq!(search.stats().mapping_memo_hits, 0);
+        assert_eq!(search.stats().mapping_memo_misses, 1);
+        let second = search
+            .redundancy_opt(&base, &mapping)
             .unwrap()
             .expect("reachable");
-        assert_eq!(memo.hits(), 1);
+        assert_eq!(search.stats().mapping_memo_hits, 1);
         assert_eq!(first, second);
         // The memoized outcome equals the unmemoized reference walk.
-        let reference = redundancy_opt(&sys, &base, &mapping, &config)
+        let unmemoized = OptConfig {
+            mapping_memo: MemoCap(0),
+            ..OptConfig::default()
+        };
+        let reference = Search::new(&sys, &unmemoized)
+            .redundancy_opt(&base, &mapping)
             .unwrap()
             .unwrap();
         assert_eq!(first.solution, reference.solution);
@@ -465,36 +345,43 @@ mod tests {
         // differ only in levels are the same memo entry.
         let sys = paper::fig1_system();
         let config = OptConfig::default();
-        let mut evaluator = Evaluator::new(&sys, &config);
-        let mut memo = RedundancyMemo::from_config(&config);
+        let mut search = Search::new(&sys, &config);
         let (mut base, mapping) = paper::fig4_alternative('a');
-        redundancy_opt_memo(&mut evaluator, &mut memo, &base, &mapping).unwrap();
+        search.redundancy_opt(&base, &mapping).unwrap();
         base.set_hardening(NodeId::new(0), HLevel::new(3).unwrap());
-        redundancy_opt_memo(&mut evaluator, &mut memo, &base, &mapping).unwrap();
-        assert_eq!(memo.hits(), 1, "level-only change must hit the memo");
+        search.redundancy_opt(&base, &mapping).unwrap();
+        assert_eq!(
+            search.stats().mapping_memo_hits,
+            1,
+            "level-only change must hit the memo"
+        );
     }
 
     #[test]
     fn memo_cap_zero_disables_memoization() {
         let sys = paper::fig1_system();
         let config = OptConfig {
-            mapping_memo: crate::config::MemoCap(0),
+            mapping_memo: MemoCap(0),
             ..OptConfig::default()
         };
-        let mut evaluator = Evaluator::new(&sys, &config);
-        let mut memo = RedundancyMemo::from_config(&config);
+        let mut search = Search::new(&sys, &config);
         let (base, mapping) = paper::fig4_alternative('a');
-        redundancy_opt_memo(&mut evaluator, &mut memo, &base, &mapping).unwrap();
-        redundancy_opt_memo(&mut evaluator, &mut memo, &base, &mapping).unwrap();
-        assert_eq!(memo.hits(), 0);
-        assert_eq!(memo.misses(), 0, "disabled memo counts nothing");
+        search.redundancy_opt(&base, &mapping).unwrap();
+        search.redundancy_opt(&base, &mapping).unwrap();
+        assert_eq!(search.stats().mapping_memo_hits, 0);
+        assert_eq!(
+            search.stats().mapping_memo_misses,
+            0,
+            "disabled memo counts nothing"
+        );
     }
 
     #[test]
     fn schedulable_outcome_meets_deadline() {
         let sys = paper::fig1_system();
         let (base, mapping) = paper::fig4_alternative('a');
-        let out = redundancy_opt(&sys, &base, &mapping, &OptConfig::default())
+        let out = Search::new(&sys, &OptConfig::default())
+            .redundancy_opt(&base, &mapping)
             .unwrap()
             .unwrap();
         assert!(out.solution.schedule_length() <= TimeUs::from_ms(360));

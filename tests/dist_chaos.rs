@@ -8,7 +8,7 @@
 //! once, and nothing hangs.
 
 use ftes::bench::dist::{run_dist_local, ChaosPlan, DistConfig, LocalWorkerSpec, WorkerOutcome};
-use ftes::bench::{cell_json, run_cell_budgeted, Strategy};
+use ftes::bench::{cell_json, run_cell_seeded, Strategy};
 use ftes::gen::{
     BusProfile, FaultLoad, GraphShape, Heterogeneity, MessageLoad, Scenario, ScenarioMatrix,
     Utilization,
@@ -60,7 +60,7 @@ fn sequential_payloads(cells: &[Scenario]) -> Vec<String> {
         .iter()
         .map(|c| {
             cell_json(
-                &run_cell_budgeted(c, &strats, CoreBudget::new(1)),
+                &run_cell_seeded(c, &strats, CoreBudget::new(1), None).0,
                 ARC,
                 false,
             )

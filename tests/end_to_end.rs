@@ -4,7 +4,7 @@
 use ftes::bench::{sweep_opt_config, Strategy};
 use ftes::faultsim::simulate_with_faults;
 use ftes::gen::{generate_instance, ExperimentConfig};
-use ftes::opt::design_strategy;
+use ftes::opt::{design_strategy, optimize_fixed_architecture};
 use ftes::sfp::Rounding;
 
 fn condition() -> ExperimentConfig {
@@ -78,6 +78,39 @@ fn opt_dominates_the_baselines() {
                 );
             }
         }
+    }
+}
+
+/// The fixed-architecture entry point runs the same Fig. 5 inner loop
+/// (lines 7–13) as the design strategy's walk: on the node types of the
+/// design strategy's winner it returns the identical solution, under
+/// every hardening policy.
+#[test]
+fn fixed_architecture_reproduces_the_design_strategy_winner() {
+    let mut compared = [0usize; 3];
+    for index in 0..8u64 {
+        let sys = generate_instance(&condition(), index);
+        for (slot, strategy) in Strategy::ALL.into_iter().enumerate() {
+            let cfg = sweep_opt_config(strategy);
+            let Some(out) = design_strategy(&sys, &cfg).unwrap() else {
+                continue;
+            };
+            let arch = &out.solution.architecture;
+            let types: Vec<_> = arch.node_ids().map(|n| arch.node_type(n)).collect();
+            let fixed = optimize_fixed_architecture(&sys, &types, &cfg).unwrap();
+            assert_eq!(
+                fixed.as_ref(),
+                Some(&out.solution),
+                "app {index} {}",
+                strategy.label()
+            );
+            compared[slot] += 1;
+        }
+    }
+    // Every policy must be exercised on most of the batch, or the
+    // comparison above says little.
+    for (strategy, n) in Strategy::ALL.into_iter().zip(compared) {
+        assert!(n >= 4, "{} feasible on only {n}/8 apps", strategy.label());
     }
 }
 

@@ -27,8 +27,8 @@
 use ftes::gen::{BusProfile, GraphShape, Heterogeneity, Scenario, Utilization};
 use ftes::model::{Architecture, HLevel, NodeId, Prob, ProcessId, TimeUs};
 use ftes::opt::{
-    initial_mapping, mapping_algorithm_traced, redundancy_opt_memo, EvalMode, Evaluator, MemoCap,
-    Objective, OptConfig, RedundancyMemo, RedundancyOutcome, TabuConfig, TabuMove,
+    initial_mapping, EvalMode, MemoCap, Objective, OptConfig, RedundancyOutcome, Search,
+    TabuConfig, TabuMove,
 };
 use ftes::sched::{longest_path_to_sink, PriorityCache, Scheduler, SlackModel};
 use ftes::sfp::{union_failure, NodeSfp, Rounding, SystemSfp};
@@ -181,18 +181,15 @@ proptest! {
         let nomemo_cfg = OptConfig { mapping_memo: MemoCap(0), ..memo_cfg.clone() };
 
         let mut memo_trace: Vec<TabuMove> = Vec::new();
-        let mut memo_eval = Evaluator::new(&system, &memo_cfg);
-        let mut memo = RedundancyMemo::from_config(&memo_cfg);
-        let memoized = mapping_algorithm_traced(
-            &mut memo_eval, &mut memo, &base, objective, None, Some(&mut memo_trace),
-        ).unwrap();
+        let memoized = Search::new(&system, &memo_cfg)
+            .mapping_algorithm(&base, objective, None, Some(&mut memo_trace))
+            .unwrap();
 
         let mut plain_trace: Vec<TabuMove> = Vec::new();
-        let mut plain_eval = Evaluator::new(&system, &nomemo_cfg);
-        let mut no_memo = RedundancyMemo::from_config(&nomemo_cfg);
-        let unmemoized = mapping_algorithm_traced(
-            &mut plain_eval, &mut no_memo, &base, objective, None, Some(&mut plain_trace),
-        ).unwrap();
+        let mut plain = Search::new(&system, &nomemo_cfg);
+        let unmemoized = plain
+            .mapping_algorithm(&base, objective, None, Some(&mut plain_trace))
+            .unwrap();
 
         prop_assert_eq!(&memo_trace, &plain_trace, "move traces diverged");
         match (&memoized, &unmemoized) {
@@ -203,7 +200,7 @@ proptest! {
             }
             other => prop_assert!(false, "divergent feasibility: {:?}", other),
         }
-        prop_assert_eq!(no_memo.hits(), 0, "disabled memo must never hit");
+        prop_assert_eq!(plain.stats().mapping_memo_hits, 0, "disabled memo must never hit");
     }
 
     /// The batched neighborhood kernel must score a tabu iteration's
@@ -243,24 +240,20 @@ proptest! {
             })
             .collect();
 
-        let mut batch_eval = Evaluator::new(&system, &config);
-        let mut batch_memo = RedundancyMemo::from_config(&config);
         let mut batch_map = mapping.clone();
         let mut batched: Vec<Option<RedundancyOutcome>> = Vec::new();
-        batch_eval
-            .score_neighborhood(&mut batch_memo, &base, &mut batch_map, &probes, &mut batched)
+        Search::new(&system, &config)
+            .score_neighborhood(&base, &mut batch_map, &probes, &mut batched)
             .unwrap();
         prop_assert_eq!(&batch_map, &mapping, "mapping must be restored");
 
-        let mut seq_eval = Evaluator::new(&system, &config);
-        let mut seq_memo = RedundancyMemo::from_config(&config);
+        let mut seq = Search::new(&system, &config);
         let mut seq_map = mapping.clone();
         let mut sequential: Vec<Option<RedundancyOutcome>> = Vec::new();
         for &(p, node) in &probes {
             let from = seq_map.node_of(p);
             seq_map.assign(p, node);
-            sequential
-                .push(redundancy_opt_memo(&mut seq_eval, &mut seq_memo, &base, &seq_map).unwrap());
+            sequential.push(seq.redundancy_opt(&base, &seq_map).unwrap());
             seq_map.assign(p, from);
         }
         prop_assert_eq!(&batched, &sequential);
@@ -354,18 +347,14 @@ proptest! {
         };
 
         let mut incr_trace: Vec<TabuMove> = Vec::new();
-        let mut incr_eval = Evaluator::new(&system, &incr_cfg);
-        let mut incr_memo = RedundancyMemo::from_config(&incr_cfg);
-        let incremental = mapping_algorithm_traced(
-            &mut incr_eval, &mut incr_memo, &base, objective, None, Some(&mut incr_trace),
-        ).unwrap();
+        let incremental = Search::new(&system, &incr_cfg)
+            .mapping_algorithm(&base, objective, None, Some(&mut incr_trace))
+            .unwrap();
 
         let mut scratch_trace: Vec<TabuMove> = Vec::new();
-        let mut scratch_eval = Evaluator::new(&system, &scratch_cfg);
-        let mut scratch_memo = RedundancyMemo::from_config(&scratch_cfg);
-        let scratch = mapping_algorithm_traced(
-            &mut scratch_eval, &mut scratch_memo, &base, objective, None, Some(&mut scratch_trace),
-        ).unwrap();
+        let scratch = Search::new(&system, &scratch_cfg)
+            .mapping_algorithm(&base, objective, None, Some(&mut scratch_trace))
+            .unwrap();
 
         prop_assert_eq!(&incr_trace, &scratch_trace, "move traces diverged");
         match (&incremental, &scratch) {

@@ -196,7 +196,7 @@ proptest! {
             );
             // The materialized solution must equal the from-scratch one.
             if let (Some(candidate), Some(solution)) = (&incremental, &scratch) {
-                prop_assert_eq!(&evaluator.materialize(candidate).unwrap(), solution);
+                prop_assert_eq!(&candidate.materialize(&system).unwrap(), solution);
             }
 
             // The SFP analysis of the found budgets must agree bitwise too.

@@ -12,8 +12,8 @@
 //! 2. repeated probes of one candidate through `evaluate`, each of which
 //!    runs the evaluation again and recycles the previous probe's
 //!    candidate;
-//! 3. whole redundancy-walk revisits through `redundancy_opt_memo` (both
-//!    the mapping-memo hit and, with the memo disabled, the
+//! 3. whole redundancy-walk revisits through `Search::redundancy_opt`
+//!    (both the mapping-memo hit and, with the memo disabled, the
 //!    pooled-architecture walk over arena-recycled candidates).
 //!
 //! The file is its own integration-test binary so no concurrently running
@@ -24,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ftes::model::{paper, HLevel, NodeId};
-use ftes::opt::{redundancy_opt_memo, Evaluator, MemoCap, OptConfig, RedundancyMemo};
+use ftes::opt::{Evaluator, MemoCap, OptConfig, Search};
 
 /// Counts every allocation (and reallocation — a growing `Vec` must not
 /// hide behind `realloc`) on top of the system allocator.
@@ -109,26 +109,28 @@ fn steady_state_probes_allocate_nothing() {
     assert_eq!(reuses, 32, "every re-probe must recycle a candidate");
 
     // --- 3a. mapping-memo revisits --------------------------------------
-    let mut memo_ev = Evaluator::new(&system, &config);
-    let mut memo = RedundancyMemo::from_config(&config);
-    redundancy_opt_memo(&mut memo_ev, &mut memo, &arch_lo, &mapping).unwrap();
-    redundancy_opt_memo(&mut memo_ev, &mut memo, &arch_lo, &mapping).unwrap();
+    let mut memoized = Search::new(&system, &config);
+    memoized.redundancy_opt(&arch_lo, &mapping).unwrap();
+    memoized.redundancy_opt(&arch_lo, &mapping).unwrap();
     let (allocs, _) = allocations_in(|| {
         for _ in 0..32 {
-            let out = redundancy_opt_memo(&mut memo_ev, &mut memo, &arch_lo, &mapping).unwrap();
+            let out = memoized.redundancy_opt(&arch_lo, &mapping).unwrap();
             drop(out);
         }
     });
     assert_eq!(allocs, 0, "mapping-memo revisits must be allocation-free");
 
     // --- 3b. unmemoized revisits: the full pooled hardening walk --------
-    let mut plain_ev = Evaluator::new(&system, &config);
-    let mut no_memo = RedundancyMemo::new(MemoCap(0));
-    redundancy_opt_memo(&mut plain_ev, &mut no_memo, &arch_lo, &mapping).unwrap();
-    redundancy_opt_memo(&mut plain_ev, &mut no_memo, &arch_lo, &mapping).unwrap();
+    let no_memo = OptConfig {
+        mapping_memo: MemoCap(0),
+        ..OptConfig::default()
+    };
+    let mut plain = Search::new(&system, &no_memo);
+    plain.redundancy_opt(&arch_lo, &mapping).unwrap();
+    plain.redundancy_opt(&arch_lo, &mapping).unwrap();
     let (allocs, _) = allocations_in(|| {
         for _ in 0..32 {
-            let out = redundancy_opt_memo(&mut plain_ev, &mut no_memo, &arch_lo, &mapping).unwrap();
+            let out = plain.redundancy_opt(&arch_lo, &mapping).unwrap();
             drop(out);
         }
     });
