@@ -5,8 +5,9 @@
 //!
 //! ```text
 //! repro_matrix [--smoke] [--pr3] [--axes LIST] [--arc UNITS]
-//!              [--threads N] [--shard I/N] [--out PATH]
-//! repro_matrix --merge OUT SHARD_FILE...
+//!              [--threads N] [--out PATH]
+//! repro_matrix --shard I/N --out JOURNAL [matrix flags]
+//! repro_matrix --merge JOURNAL... --out PATH [matrix flags]
 //! repro_matrix --serve ADDR [--addr-file PATH] [--lease-ms N]
 //!              [--grace-ms N] [--journal PATH [--resume]]
 //!              [matrix flags] [--out PATH]
@@ -31,15 +32,19 @@
 //!   app fan-out share it; results are bit-identical for any value,
 //!   0 = all cores).
 //! * `--shard I/N` runs only every N-th cell starting at I (stride
-//!   sharding keeps each shard covering all axis values). Each shard
-//!   writes a complete JSON document tagged with its shard coordinates
-//!   and the full run's cell count.
-//! * `--merge OUT SHARD_FILE...` stitches shard outputs back together:
-//!   headers are validated to agree (arc, pr, smoke, shard count, total
-//!   cells), cells are re-interleaved by matrix position, and gaps or
-//!   overlaps abort the merge. The merged document is byte-identical to
-//!   an unsharded run's (up to the measured `wall_seconds`) — plain file
-//!   concatenation is not.
+//!   sharding keeps each shard covering all axis values) and writes
+//!   them to `--out` as a journal: the checksummed record format of the
+//!   coordinator's `--journal`, under a header that pins the matrix
+//!   fingerprint, the engine version and the full run's cell count.
+//!   `--out` is required, so a shard never overwrites the committed
+//!   artifact.
+//! * `--merge JOURNAL...` joins journals into the document at `--out`.
+//!   It takes the same matrix flags as the runs that wrote them (the
+//!   journal headers refuse any other sweep). Every cell must be in
+//!   exactly one journal: a cell in two is an overlap, a cell in none a
+//!   gap, and either aborts the merge. The merged document is
+//!   byte-identical to an unsharded run's (up to the measured
+//!   `wall_seconds`).
 //! * `--serve ADDR` runs the **distributed coordinator**: workers
 //!   connect, receive cells as deadline-bearing leases, stream back
 //!   checksummed results; lost/expired/corrupt leases are re-queued, and
@@ -76,13 +81,13 @@ use std::io::Write as _;
 
 use ftes_bench::cli::{parse_value, resolve_addr, take_value, write_addr_file};
 use ftes_bench::dist::{
-    load_journal, matrix_fingerprint, run_dist_local_opts, ChaosPlan, Coordinator, Journal,
+    load_journals, matrix_fingerprint, run_dist_local_opts, ChaosPlan, Coordinator, Journal,
     LocalWorkerSpec, RunOpts,
 };
 use ftes_bench::{
-    cell_json, json_footer, json_header, json_header_with, merge_shard_texts, read_shard_file,
-    render_table_row, run_cells_streaming, run_worker, BenchMeta, DistConfig, DistStats,
-    MatrixRunConfig, Shard, Strategy, WorkerConfig, WorkerOutcome, ENGINE_VERSION,
+    cell_json, json_footer, json_header, json_header_with, render_table_row, run_cells_streaming,
+    run_worker, BenchMeta, DistConfig, MatrixRunConfig, Shard, Strategy, WorkerConfig,
+    WorkerOutcome, ENGINE_VERSION,
 };
 use ftes_gen::ScenarioMatrix;
 use ftes_model::Cost;
@@ -90,15 +95,16 @@ use ftes_opt::{CoreBudget, Threads};
 
 /// The usage block printed (to stderr) with every CLI error.
 const USAGE: &str = "usage: repro_matrix [--smoke] [--pr3] [--axes LIST] [--arc UNITS] \
-     [--threads N] [--shard I/N] [--out PATH]\n       \
-     repro_matrix --merge OUT SHARD_FILE...\n       \
+     [--threads N] [--out PATH]\n       \
+     repro_matrix --shard I/N --out JOURNAL [matrix flags]\n       \
+     repro_matrix --merge JOURNAL... --out PATH [matrix flags]\n       \
      repro_matrix --serve ADDR [--addr-file PATH] [--lease-ms N] [--grace-ms N] \
      [--journal PATH [--resume]]\n       \
      repro_matrix --worker ADDR|@PATH [--chaos SPEC] [--chaos-seed N]\n       \
      repro_matrix --dist-workers N [--chaos SPEC] [--chaos-seed N] \
      [--journal PATH [--resume]]";
 
-/// Everything the non-merge modes need, parsed and validated.
+/// The whole command line, parsed and validated.
 #[derive(Debug, Clone, PartialEq)]
 struct Cli {
     smoke: bool,
@@ -107,6 +113,7 @@ struct Cli {
     arc: u64,
     threads: Threads,
     shard: Option<Shard>,
+    merge: Vec<String>,
     out: Option<String>,
     serve: Option<String>,
     addr_file: Option<String>,
@@ -129,6 +136,7 @@ impl Default for Cli {
             arc: 20,
             threads: Threads(0),
             shard: None,
+            merge: Vec::new(),
             out: None,
             serve: None,
             addr_file: None,
@@ -144,29 +152,12 @@ impl Default for Cli {
     }
 }
 
-/// A parsed command line: either the merge mode or a (validated) run.
-#[derive(Debug, Clone, PartialEq)]
-enum Mode {
-    Merge { out: String, files: Vec<String> },
-    Run(Box<Cli>),
-}
-
 /// Parses and validates the whole command line. Every rejection — an
 /// unknown flag, a missing or malformed value, contradictory modes — is
 /// a one-line error; the caller prints it plus [`USAGE`] and exits 2.
-fn parse_cli(raw: &[String]) -> Result<Mode, String> {
-    if raw.first().map(String::as_str) == Some("--merge") {
-        let Some((out, files)) = raw[1..].split_first().filter(|(_, f)| !f.is_empty()) else {
-            return Err("--merge: missing value (expected OUT SHARD_FILE...)".to_string());
-        };
-        return Ok(Mode::Merge {
-            out: out.clone(),
-            files: files.to_vec(),
-        });
-    }
-
+fn parse_cli(raw: &[String]) -> Result<Cli, String> {
     let mut cli = Cli::default();
-    let mut args = raw.iter().cloned();
+    let mut args = raw.iter().cloned().peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => cli.smoke = true,
@@ -229,6 +220,15 @@ fn parse_cli(raw: &[String]) -> Result<Mode, String> {
                     format!("--shard: invalid value {spec:?} (expected I/N with 0 <= I < N)")
                 })?);
             }
+            "--merge" => {
+                // Every argument up to the next flag is a journal.
+                while let Some(path) = args.next_if(|a| !a.starts_with("--")) {
+                    cli.merge.push(path);
+                }
+                if cli.merge.is_empty() {
+                    return Err("--merge: missing value (expected JOURNAL...)".to_string());
+                }
+            }
             "--out" => cli.out = Some(take_value(&mut args, "--out", "a path")?),
             other => return Err(format!("unknown argument {other}")),
         }
@@ -253,6 +253,25 @@ fn parse_cli(raw: &[String]) -> Result<Mode, String> {
                 .to_string(),
         );
     }
+    if !cli.merge.is_empty()
+        && (cli.shard.is_some() || cli.journal.is_some() || dist_modes.contains(&true))
+    {
+        return Err(
+            "--merge does not combine with --shard, --journal or distributed modes".to_string(),
+        );
+    }
+    if cli.out.is_none() && (cli.shard.is_some() || !cli.merge.is_empty()) {
+        // The default path is the committed full-matrix artifact.
+        return Err(format!(
+            "{}: missing --out (the default {} is the full matrix's artifact)",
+            if cli.shard.is_some() {
+                "--shard"
+            } else {
+                "--merge"
+            },
+            default_out(cli.pr3)
+        ));
+    }
     if cli.journal.is_some() && cli.serve.is_none() && cli.dist_workers.is_none() {
         return Err(
             "--journal only combines with the coordinator modes (--serve or --dist-workers)"
@@ -268,7 +287,22 @@ fn parse_cli(raw: &[String]) -> Result<Mode, String> {
                 .to_string(),
         );
     }
-    Ok(Mode::Run(Box::new(cli)))
+    Ok(cli)
+}
+
+/// The artifact path a run writes without `--out`.
+fn default_out(pr3: bool) -> &'static str {
+    if pr3 {
+        "BENCH_PR3.json"
+    } else {
+        "BENCH_PR4.json"
+    }
+}
+
+/// Prints a one-line error and exits 1: how every failed run ends.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
 }
 
 fn parse_shard(spec: &str) -> Option<Shard> {
@@ -303,36 +337,6 @@ fn restrict_axes(mut matrix: ScenarioMatrix, keep: &str) -> ScenarioMatrix {
         matrix.faults.truncate(1);
     }
     matrix
-}
-
-/// The `--merge` mode: read shard documents, validate, stitch, write.
-/// Every failure path — unreadable file, binary garbage, truncated
-/// document, inconsistent shards, unwritable output — is a one-line
-/// error and a nonzero exit, never a panic.
-fn run_merge(out: &str, files: &[String]) -> ! {
-    let texts: Vec<String> = files
-        .iter()
-        .map(|f| {
-            read_shard_file(f).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-        })
-        .collect();
-    match merge_shard_texts(&texts) {
-        Ok(merged) => {
-            if let Err(e) = std::fs::write(out, &merged) {
-                eprintln!("cannot write merged output {out}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("merged {} shard file(s) into {out}", files.len());
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("merge failed: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// The `--worker` mode: serve leases until the coordinator says
@@ -370,19 +374,21 @@ fn run_worker_mode(
     }
 }
 
-/// Writes the distributed run's document: cells are buffered (they are
-/// small — the full v2 matrix renders under a megabyte) because the
-/// `dist_*` header stats are only final once the run completes.
-fn write_dist_doc(
+/// Writes a document from payloads already in hand, with `extra` header
+/// lines (see [`json_header_with`]): the merged journals, or the
+/// distributed run's cells, which are buffered (the full v2 matrix
+/// renders under a megabyte) because its `dist_*` header stats are only
+/// final once the run completes.
+fn write_doc(
     out: &str,
     arc: Cost,
     meta: BenchMeta,
-    stats: &DistStats,
+    extra: &str,
     payloads: &[String],
 ) -> std::io::Result<()> {
     let file = std::fs::File::create(out)?;
     let mut writer = std::io::BufWriter::new(file);
-    writer.write_all(json_header_with(arc, Some(meta), &stats.header_lines()).as_bytes())?;
+    writer.write_all(json_header_with(arc, Some(meta), extra).as_bytes())?;
     for (i, payload) in payloads.iter().enumerate() {
         if i > 0 {
             writer.write_all(b",\n")?;
@@ -393,17 +399,22 @@ fn write_dist_doc(
     writer.flush()
 }
 
+/// Where a local run streams its cells.
+enum Sink {
+    /// The artifact document.
+    Doc(std::io::BufWriter<std::fs::File>),
+    /// A `--shard` run's journal, and the shard that maps a run position
+    /// to its matrix position.
+    Journal(Journal, Shard),
+}
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_cli(&raw) {
-        Ok(Mode::Merge { out, files }) => run_merge(&out, &files),
-        Ok(Mode::Run(cli)) => *cli,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let cli = parse_cli(&raw).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
     let Cli {
         smoke,
         pr3,
@@ -411,6 +422,7 @@ fn main() {
         arc,
         threads,
         shard,
+        merge,
         out,
         serve,
         addr_file,
@@ -434,20 +446,30 @@ fn main() {
     if let Some(keep) = &axes {
         matrix = restrict_axes(matrix, keep);
     }
-    let pr = if pr3 { 3 } else { 4 };
-    let out = out.unwrap_or_else(|| format!("BENCH_PR{pr}.json"));
+    let meta = BenchMeta::new(if pr3 { 3 } else { 4 }, smoke);
+    let out = out.unwrap_or_else(|| default_out(pr3).to_string());
+    let arc = Cost::new(arc);
 
     let cells = matrix.cells();
+    // Every journal this binary writes or reads renders timings, so one
+    // fingerprint guards them all.
+    let fingerprint = matrix_fingerprint(&cells, &Strategy::ALL, arc, true);
 
     if let Some(addr_spec) = worker {
-        run_worker_mode(
-            &addr_spec,
-            &cells,
-            Cost::new(arc),
-            threads,
-            chaos,
-            chaos_seed,
+        run_worker_mode(&addr_spec, &cells, arc, threads, chaos, chaos_seed);
+    }
+
+    if !merge.is_empty() {
+        let payloads = load_journals(&merge, &fingerprint, ENGINE_VERSION, cells.len())
+            .unwrap_or_else(|e| fail(format!("merge failed: {e}")));
+        write_doc(&out, arc, meta, "", &payloads)
+            .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
+        eprintln!(
+            "merged {} journal(s) into {out} ({} cells)",
+            merge.len(),
+            payloads.len()
         );
+        return;
     }
 
     if serve.is_some() || dist_workers.is_some() {
@@ -458,11 +480,9 @@ fn main() {
             ..DistConfig::default()
         };
         let budget = CoreBudget::new(threads.resolve());
-        let arc_cost = Cost::new(arc);
         // With a journal attached, the journal *is* the payload store:
         // the sink drops payloads (memory stays O(out-of-order window))
         // and the final document is assembled from the journal below.
-        let fingerprint = matrix_fingerprint(&cells, &Strategy::ALL, arc_cost, dist_cfg.timings);
         let opts = match &journal {
             None => RunOpts {
                 ckill_after: chaos.ckill as u64,
@@ -470,10 +490,7 @@ fn main() {
             },
             Some(path) if resume => {
                 let (j, replay) = Journal::resume(path, &fingerprint, ENGINE_VERSION, cells.len())
-                    .unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    });
+                    .unwrap_or_else(|e| fail(e));
                 eprintln!(
                     "resuming from journal {path}: {} of {} cells durable, epoch {}",
                     replay.payloads.len(),
@@ -487,18 +504,14 @@ fn main() {
                     ckill_after: chaos.ckill as u64,
                 }
             }
-            Some(path) => {
-                let j = Journal::create(path, &fingerprint, ENGINE_VERSION, cells.len())
-                    .unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    });
-                RunOpts {
-                    journal: Some(j),
-                    ckill_after: chaos.ckill as u64,
-                    ..RunOpts::default()
-                }
-            }
+            Some(path) => RunOpts {
+                journal: Some(
+                    Journal::create(path, &fingerprint, ENGINE_VERSION, cells.len())
+                        .unwrap_or_else(|e| fail(e)),
+                ),
+                ckill_after: chaos.ckill as u64,
+                ..RunOpts::default()
+            },
         };
         let journaling = journal.is_some();
         let mut payloads: Vec<String> = Vec::new();
@@ -509,19 +522,14 @@ fn main() {
         };
         let start = std::time::Instant::now();
         let stats = if let Some(bind_addr) = serve {
-            let coordinator = Coordinator::bind(&bind_addr, dist_cfg).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
+            let coordinator = Coordinator::bind(&bind_addr, dist_cfg).unwrap_or_else(|e| fail(e));
             let actual = coordinator.local_addr();
             eprintln!("coordinator listening on {actual} ({} cells)", cells.len());
             if let Some(path) = &addr_file {
-                if let Err(e) = write_addr_file(path, actual) {
-                    eprintln!("cannot write --addr-file {path}: {e}");
-                    std::process::exit(1);
-                }
+                write_addr_file(path, actual)
+                    .unwrap_or_else(|e| fail(format!("cannot write --addr-file {path}: {e}")));
             }
-            coordinator.run_with(&cells, &Strategy::ALL, arc_cost, budget, opts, sink)
+            coordinator.run_with(&cells, &Strategy::ALL, arc, budget, opts, sink)
         } else {
             let n = dist_workers.unwrap_or(1).max(1);
             // Worker 0 carries the chaos budget; the rest stay clean so
@@ -535,7 +543,7 @@ fn main() {
             run_dist_local_opts(
                 &cells,
                 &Strategy::ALL,
-                arc_cost,
+                arc,
                 &dist_cfg,
                 &specs,
                 budget,
@@ -552,34 +560,16 @@ fn main() {
                 stats
             })
         };
-        let stats = stats.unwrap_or_else(|e| {
-            eprintln!("distributed run failed: {e}");
-            std::process::exit(1);
-        });
-        if let Some(path) = &journal {
+        let stats = stats.unwrap_or_else(|e| fail(format!("distributed run failed: {e}")));
+        if let Some(path) = journal {
             // The run completed, so the journal now holds every cell
             // (resumed ones from previous lives, the rest fsync'd this
             // life before emission): replay it into the document.
-            let replay = load_journal(path, &fingerprint, ENGINE_VERSION, cells.len())
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot assemble document from journal: {e}");
-                    std::process::exit(1);
-                });
-            if replay.payloads.len() != cells.len() {
-                eprintln!(
-                    "cannot assemble document from journal {path}: {} of {} cells present",
-                    replay.payloads.len(),
-                    cells.len()
-                );
-                std::process::exit(1);
-            }
-            payloads = replay.payloads.into_values().collect();
+            payloads = load_journals(&[path], &fingerprint, ENGINE_VERSION, cells.len())
+                .unwrap_or_else(|e| fail(format!("cannot assemble document from journal: {e}")));
         }
-        let meta = BenchMeta::new(pr, smoke);
-        if let Err(e) = write_dist_doc(&out, arc_cost, meta, &stats, &payloads) {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        }
+        write_doc(&out, arc, meta, &stats.header_lines(), &payloads)
+            .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
         eprintln!(
             "wrote {out} ({} cells in {:.1}s; {} worker(s) registered, {} lease(s) re-queued, \
              {} duplicate(s) dropped, {} cell(s) run locally)",
@@ -593,7 +583,7 @@ fn main() {
         std::process::exit(0);
     }
     let config = MatrixRunConfig {
-        arc: Cost::new(arc),
+        arc,
         threads,
         shard,
         progress: true,
@@ -613,18 +603,28 @@ fn main() {
         threads.resolve(),
     );
 
-    // Stream: render and append each cell as it completes (in cell
-    // order), instead of holding the whole report in memory.
-    let file = std::fs::File::create(&out).expect("create output file");
-    let mut writer = std::io::BufWriter::new(file);
-    let meta = BenchMeta {
-        pr,
-        smoke,
-        shard: shard.map(|s| (s, cells.len())),
+    // Stream: write each cell as it completes (in cell order), instead
+    // of holding the whole report in memory. A shard journals its cells
+    // under their matrix positions; a full run writes the document.
+    let write_err = |e: std::io::Error| format!("cannot write {out}: {e}");
+    let mut sink = match shard {
+        Some(s) => Sink::Journal(
+            Journal::create(&out, &fingerprint, ENGINE_VERSION, cells.len())
+                .unwrap_or_else(|e| fail(e)),
+            s,
+        ),
+        None => {
+            let file = std::fs::File::create(&out)
+                .map_err(write_err)
+                .unwrap_or_else(|e| fail(e));
+            let mut writer = std::io::BufWriter::new(file);
+            writer
+                .write_all(json_header(arc, Some(meta)).as_bytes())
+                .map_err(write_err)
+                .unwrap_or_else(|e| fail(e));
+            Sink::Doc(writer)
+        }
     };
-    writer
-        .write_all(json_header(config.arc, Some(meta)).as_bytes())
-        .expect("write header");
     let label_width = cells
         .iter()
         .map(|c| c.label().len())
@@ -632,25 +632,37 @@ fn main() {
         .unwrap_or(8)
         .max(8);
     let mut table = format!(
-        "{:<label_width$}  acceptance at ArC = {arc}\n",
+        "{:<label_width$}  acceptance at ArC = {}\n",
         "cell",
+        arc.units(),
         label_width = label_width
     );
     let start = std::time::Instant::now();
     // Progress lines come from the runner itself (config.progress).
     run_cells_streaming(&cells, &Strategy::ALL, &config, |i, cell| {
-        if i > 0 {
-            writer.write_all(b",\n").expect("write separator");
+        let payload = cell_json(&cell, arc, true);
+        match &mut sink {
+            Sink::Journal(journal, s) => journal
+                .append_cell(s.index + i * s.count, &payload)
+                .unwrap_or_else(|e| fail(e)),
+            Sink::Doc(writer) => {
+                let separator: &[u8] = if i > 0 { b",\n" } else { b"" };
+                writer
+                    .write_all(separator)
+                    .and_then(|()| writer.write_all(payload.as_bytes()))
+                    .map_err(write_err)
+                    .unwrap_or_else(|e| fail(e));
+            }
         }
-        writer
-            .write_all(cell_json(&cell, config.arc, true).as_bytes())
-            .expect("write cell");
-        table.push_str(&render_table_row(&cell, config.arc, label_width));
+        table.push_str(&render_table_row(&cell, arc, label_width));
     });
-    writer
-        .write_all(json_footer().as_bytes())
-        .expect("write footer");
-    writer.flush().expect("flush output");
+    if let Sink::Doc(mut writer) = sink {
+        writer
+            .write_all(json_footer().as_bytes())
+            .and_then(|()| writer.flush())
+            .map_err(write_err)
+            .unwrap_or_else(|e| fail(e));
+    }
 
     print!("{table}");
     eprintln!(
@@ -663,16 +675,13 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Mode, String> {
+    fn parse(args: &[&str]) -> Result<Cli, String> {
         let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         parse_cli(&raw)
     }
 
     fn parse_run(args: &[&str]) -> Cli {
-        match parse(args) {
-            Ok(Mode::Run(cli)) => *cli,
-            other => panic!("{args:?} did not parse as a run: {other:?}"),
-        }
+        parse(args).unwrap_or_else(|e| panic!("{args:?} did not parse: {e}"))
     }
 
     #[test]
@@ -814,6 +823,9 @@ mod tests {
             &["--serve", "a:1", "--dist-workers", "2"][..],
             &["--worker", "a:1", "--dist-workers", "2"][..],
             &["--dist-workers", "2", "--shard", "0/2"][..],
+            &["--merge", "a.wal", "--shard", "0/2", "--out", "m.json"][..],
+            &["--merge", "a.wal", "--journal", "j.wal", "--out", "m.json"][..],
+            &["--merge", "a.wal", "--dist-workers", "2", "--out", "m.json"][..],
         ] {
             let err = parse(args).unwrap_err();
             assert!(
@@ -825,16 +837,24 @@ mod tests {
 
     #[test]
     fn merge_mode_parses_and_requires_output_and_inputs() {
-        assert_eq!(
-            parse(&["--merge", "out.json", "a.json", "b.json"]).unwrap(),
-            Mode::Merge {
-                out: "out.json".to_string(),
-                files: vec!["a.json".to_string(), "b.json".to_string()],
-            }
-        );
+        // The journals run up to the next flag; matrix flags may follow.
+        let cli = parse_run(&["--merge", "a.wal", "b.wal", "--smoke", "--out", "out.json"]);
+        assert_eq!(cli.merge, ["a.wal", "b.wal"]);
+        assert_eq!(cli.out.as_deref(), Some("out.json"));
+        assert!(cli.smoke);
         assert!(parse(&["--merge"]).unwrap_err().starts_with("--merge"));
-        assert!(parse(&["--merge", "out.json"])
+        assert!(parse(&["--merge", "--out", "out.json"])
             .unwrap_err()
             .starts_with("--merge"));
+        // Neither a merge nor a shard may fall back to the committed
+        // artifact's path.
+        for (args, flag) in [
+            (&["--merge", "a.wal"][..], "--merge"),
+            (&["--shard", "0/2"][..], "--shard"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+            assert!(err.contains("missing --out"), "{args:?}: {err}");
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Crash-recovery write-ahead journal for the distributed coordinator.
+//! The write-ahead journal of cell results: the distributed
+//! coordinator's crash recovery, and the output of `--shard` runs.
 //!
 //! PR 7 made the *workers* expendable; this module makes the
 //! coordinator expendable too. Every verified cell result is appended
@@ -44,10 +45,16 @@
 //!   write, it is corruption, and silently skipping it would drop a
 //!   completed cell from the resumed artifact.
 //!
-//! File reading goes through the same reader as `--merge`
-//! (`merge::read_file_bytes` / `merge::utf8_or_error`),
-//! so both tools reject unreadable and non-UTF-8 input with identical
-//! one-line messages.
+//! ## One record format for cell results
+//!
+//! The journal is the only on-disk form of cell results. A coordinator
+//! run (`--journal`) writes one journal holding every cell; a
+//! `repro_matrix --shard I/N` run writes a journal under the same
+//! header that holds only the cells of its stride. [`load_journals`]
+//! replays any set of such journals of one sweep into the full payload
+//! list: it is how `--merge` joins shard journals and how a coordinator
+//! assembles its document, and it refuses a union that overlaps or
+//! leaves a gap.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -56,7 +63,6 @@ use std::io::{Seek, SeekFrom, Write};
 use super::protocol::{
     checksum, json_escape, need_int, need_str, parse_object, reject_unknown, take_int, take_str,
 };
-use crate::merge::{read_file_bytes, utf8_or_error};
 
 /// Journal format version; bumped on any incompatible record change.
 pub const JOURNAL_VERSION: u32 = 1;
@@ -261,7 +267,7 @@ pub fn load_journal(
     engine: u32,
     cells_total: usize,
 ) -> Result<JournalReplay, String> {
-    let bytes = read_file_bytes(path, "journal")?;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read journal {path}: {e}"))?;
     // Split into (start offset, line bytes, terminated) — a final
     // fragment without a newline is by definition a torn append.
     let mut lines: Vec<(usize, &[u8], bool)> = Vec::new();
@@ -290,12 +296,14 @@ pub fn load_journal(
         let parsed = if !terminated {
             Err("torn record (no trailing newline)".to_string())
         } else {
-            match utf8_or_error(raw.to_vec(), path, "journal", "not a repro_matrix journal") {
-                Ok(line) => parse_record(&line),
-                // The per-line UTF-8 error already names path + offset;
-                // keep only its reason tail for the uniform wrapper.
-                Err(e) => Err(e),
-            }
+            std::str::from_utf8(raw)
+                .map_err(|e| {
+                    format!(
+                        "not UTF-8 (invalid byte at offset {} of the line)",
+                        e.valid_up_to()
+                    )
+                })
+                .and_then(parse_record)
         };
         let record = match parsed {
             Ok(record) => record,
@@ -332,19 +340,19 @@ pub fn load_journal(
                     return Err(format!(
                         "journal {path} was written for a different sweep \
                          (matrix fingerprint {theirs} != {fingerprint}; \
-                         same matrix flags required to resume)"
+                         same matrix flags required to resume or merge)"
                     ));
                 }
                 if their_engine != engine {
                     return Err(format!(
                         "journal {path} was written by engine version {their_engine}, \
-                         this binary is version {engine}: refusing to resume"
+                         this binary is version {engine}: refusing to replay it"
                     ));
                 }
                 if their_cells != cells_total {
                     return Err(format!(
                         "journal {path} covers {their_cells} cells, this sweep has \
-                         {cells_total}: refusing to resume"
+                         {cells_total}: refusing to replay it"
                     ));
                 }
                 header_seen = true;
@@ -386,6 +394,43 @@ pub fn load_journal(
         ));
     }
     Ok(replay)
+}
+
+/// Replays the journals of one sweep — a coordinator's journal, or the
+/// journals of `--shard` runs — and returns every cell's payload in cell
+/// order. Each file goes through [`load_journal`] under the same guard,
+/// so all of them must come from the same matrix flags and engine.
+///
+/// # Errors
+///
+/// Returns a one-line description of the first problem: any file
+/// [`load_journal`] refuses, a cell found in two files (an overlap,
+/// naming both) or a cell found in none (a gap, naming the cell).
+pub fn load_journals(
+    paths: &[String],
+    fingerprint: &str,
+    engine: u32,
+    cells_total: usize,
+) -> Result<Vec<String>, String> {
+    let mut found: Vec<Option<(String, &str)>> = vec![None; cells_total];
+    for path in paths {
+        for (cell, payload) in load_journal(path, fingerprint, engine, cells_total)?.payloads {
+            if let Some((_, first)) = found[cell].replace((payload, path)) {
+                return Err(format!(
+                    "overlap: cell {cell} is in both {first} and {path}"
+                ));
+            }
+        }
+    }
+    found
+        .into_iter()
+        .enumerate()
+        .map(|(cell, slot)| {
+            slot.map(|(payload, _)| payload).ok_or_else(|| {
+                format!("gap: cell {cell} of {cells_total} is in none of the journals")
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -552,8 +597,8 @@ mod tests {
         j.append_cell(0, "good").unwrap();
         drop(j);
         let clean = std::fs::read(&path).unwrap();
-        // Non-UTF-8 garbage as a *terminated interior* line: hard error
-        // with the same not-UTF-8 shape the shard reader produces.
+        // Non-UTF-8 garbage as a *terminated interior* line: hard
+        // error naming the problem.
         let mut bad = clean.clone();
         let cell_at = bad
             .windows("{\"cell\"".len())
@@ -586,5 +631,215 @@ mod tests {
         let err = load_journal(&path, FP, 1, 1).unwrap_err();
         assert!(err.contains("no valid header"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    // --- Shard journals joined by `load_journals` (`--merge`). ---
+
+    use crate::matrix::{cell_json, json_footer, json_header, run_cells, BenchMeta};
+    use crate::{Strategy, ENGINE_VERSION};
+    use ftes_gen::{BusProfile, Heterogeneity, Scenario, ScenarioMatrix, Utilization};
+    use ftes_opt::Threads;
+
+    /// A small real run (5 cells, MIN only): its fingerprint, the cells
+    /// rendered as a `--shard` run journals them, and the unsharded
+    /// document of the same run.
+    fn small_run() -> (String, Vec<String>, String) {
+        let mut cells: Vec<Scenario> = ScenarioMatrix::smoke().cells();
+        cells.truncate(4);
+        let mut extra = Scenario::new(
+            BusProfile::Ideal,
+            Heterogeneity::Wide,
+            Utilization::Relaxed,
+            1,
+        );
+        extra.base.seed = 0x5EED;
+        cells.push(extra);
+        for c in cells.iter_mut() {
+            c.apps = 1;
+        }
+        let cfg = crate::MatrixRunConfig {
+            threads: Threads(1),
+            ..crate::MatrixRunConfig::default()
+        };
+        let report = run_cells(&cells, &[Strategy::Min], &cfg);
+        let payloads = report
+            .cells
+            .iter()
+            .map(|c| cell_json(c, cfg.arc, true))
+            .collect();
+        let fingerprint = crate::dist::matrix_fingerprint(&cells, &[Strategy::Min], cfg.arc, true);
+        (fingerprint, payloads, report.bench_json(5, false))
+    }
+
+    /// Writes the journal a `--shard index/count` run writes for
+    /// `payloads` and returns its path.
+    fn shard_journal(
+        name: &str,
+        fp: &str,
+        payloads: &[String],
+        index: usize,
+        count: usize,
+    ) -> String {
+        let path = tmp(&format!("{name}-{index}of{count}"));
+        let mut j = Journal::create(&path, fp, ENGINE_VERSION, payloads.len()).unwrap();
+        for (cell, payload) in payloads.iter().enumerate().skip(index).step_by(count) {
+            j.append_cell(cell, payload).unwrap();
+        }
+        path
+    }
+
+    /// `load_journals` that must fail, with a one-line error.
+    fn merge_err(paths: &[String], fp: &str, cells: usize) -> String {
+        let err = load_journals(paths, fp, ENGINE_VERSION, cells).unwrap_err();
+        assert!(!err.is_empty() && !err.contains('\n'), "{err:?}");
+        err
+    }
+
+    fn remove_all(paths: &[String]) {
+        for p in paths {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn two_and_three_way_merges_reproduce_the_unsharded_file_byte_for_byte() {
+        let (fp, payloads, reference) = small_run();
+        for count in [2usize, 3] {
+            let mut paths: Vec<String> = (0..count)
+                .map(|i| shard_journal("merge", &fp, &payloads, i, count))
+                .collect();
+            // Merge in scrambled input order: order must not matter.
+            paths.reverse();
+            let merged = load_journals(&paths, &fp, ENGINE_VERSION, payloads.len()).unwrap();
+            let doc = format!(
+                "{}{}{}",
+                json_header(
+                    crate::MatrixRunConfig::default().arc,
+                    Some(BenchMeta::new(5, false)),
+                ),
+                merged.join(",\n"),
+                json_footer()
+            );
+            assert_eq!(doc, reference, "{count}-way merge diverged");
+            remove_all(&paths);
+        }
+    }
+
+    #[test]
+    fn gaps_and_overlaps_are_rejected() {
+        let (fp, payloads, _) = small_run();
+        let n = payloads.len();
+        let s: Vec<String> = (0..3)
+            .map(|i| shard_journal("gaps", &fp, &payloads, i, 3))
+            .collect();
+        let gap = merge_err(&[s[0].clone(), s[2].clone()], &fp, n);
+        assert!(gap.starts_with("gap: cell 1 "), "{gap}");
+        let overlap = merge_err(&[s[0].clone(), s[0].clone(), s[1].clone()], &fp, n);
+        assert!(overlap.starts_with("overlap: cell 0 "), "{overlap}");
+        assert_eq!(overlap.matches(s[0].as_str()).count(), 2, "{overlap}");
+        // A shard that lost a cell (run stopped early) is a gap too.
+        let short = tmp("gaps-short");
+        let mut j = Journal::create(&short, &fp, ENGINE_VERSION, n).unwrap();
+        j.append_cell(1, &payloads[1]).unwrap();
+        let gap = merge_err(&[s[0].clone(), short.clone(), s[2].clone()], &fp, n);
+        assert!(gap.starts_with("gap: cell 4 "), "{gap}");
+        remove_all(&s);
+        remove_all(&[short]);
+    }
+
+    #[test]
+    fn header_disagreement_is_rejected() {
+        let (fp, payloads, _) = small_run();
+        let n = payloads.len();
+        let a = shard_journal("hdr", &fp, &payloads, 0, 2);
+        let b = tmp("hdr-other");
+        for (fingerprint, engine, cells, why) in [
+            ("ffffffffffffffff", ENGINE_VERSION, n, "different sweep"),
+            (fp.as_str(), ENGINE_VERSION + 1, n, "engine version"),
+            (fp.as_str(), ENGINE_VERSION, n + 1, "covers 6 cells"),
+        ] {
+            let mut j = Journal::create(&b, fingerprint, engine, cells).unwrap();
+            j.append_cell(1, &payloads[1]).unwrap();
+            let err = merge_err(&[a.clone(), b.clone()], &fp, n);
+            assert!(err.contains(why) && err.contains(b.as_str()), "{err}");
+        }
+        // A header that would agree if read leniently — first key wins
+        // — is rejected: a duplicate key breaks the record.
+        let dup = seal(&format!(
+            "{{\"journal\":\"repro_matrix\",\"v\":1,\"fingerprint\":\"{fp}\",\"engine\":{ENGINE_VERSION},\"cells\":{n},\"cells\":{}",
+            n + 1
+        ));
+        let cell = seal(&format!(
+            "{{\"cell\":1,\"payload\":\"{}\"",
+            json_escape(&payloads[1])
+        ));
+        std::fs::write(&b, format!("{dup}{cell}")).unwrap();
+        let err = merge_err(&[a.clone(), b.clone()], &fp, n);
+        assert!(err.contains("line 1") && err.contains("duplicate"), "{err}");
+        remove_all(&[a, b]);
+    }
+
+    #[test]
+    fn truncated_shard_journals_error_at_every_cut_instead_of_panicking() {
+        let (fp, payloads, _) = small_run();
+        let n = payloads.len();
+        let s0 = shard_journal("cut", &fp, &payloads, 0, 2);
+        let s1 = shard_journal("cut", &fp, &payloads, 1, 2);
+        let good = std::fs::read(&s1).unwrap();
+        // A shard journal cut off mid-write (dead run, full disk) loses
+        // at least its last cell: a gap, or no header at all — an
+        // error at every cut, never a panic or a short merge.
+        let cut_path = tmp("cut-torn");
+        for cut in 0..good.len() {
+            std::fs::write(&cut_path, &good[..cut]).unwrap();
+            let err = merge_err(&[s0.clone(), cut_path.clone()], &fp, n);
+            assert!(
+                err.starts_with("gap: ") || err.contains("no valid header"),
+                "cut at {cut}: {err}"
+            );
+        }
+        std::fs::write(&cut_path, &good).unwrap();
+        assert_eq!(
+            load_journals(&[s0.clone(), cut_path.clone()], &fp, ENGINE_VERSION, n).unwrap(),
+            payloads
+        );
+        remove_all(&[s0, s1, cut_path]);
+    }
+
+    #[test]
+    fn unreadable_and_non_utf8_shard_journals_error_cleanly() {
+        let (fp, payloads, _) = small_run();
+        let n = payloads.len();
+        let s0 = shard_journal("utf8", &fp, &payloads, 0, 2);
+        let err = merge_err(
+            &[s0.clone(), "/nonexistent/shard-xyz.wal".to_string()],
+            &fp,
+            n,
+        );
+        assert!(
+            err.contains("cannot read journal /nonexistent/shard-xyz.wal"),
+            "{err}"
+        );
+        // 0xFF 0xFE is never valid UTF-8.
+        let binary = tmp("utf8-binary");
+        std::fs::write(&binary, [0x7b, 0xff, 0xfe, 0x7d, b'\n', b'{', b'\n']).unwrap();
+        let err = merge_err(&[s0.clone(), binary.clone()], &fp, n);
+        assert!(
+            err.contains("not UTF-8") && err.contains("offset 1"),
+            "{err}"
+        );
+        remove_all(&[s0, binary]);
+    }
+
+    #[test]
+    fn shard_documents_are_rejected_as_journals() {
+        // The pretty-printed document older `--shard` runs wrote is not
+        // a journal: `--merge` refuses it instead of splicing it in.
+        let (fp, payloads, reference) = small_run();
+        let doc = tmp("old-doc");
+        std::fs::write(&doc, reference).unwrap();
+        let err = merge_err(std::slice::from_ref(&doc), &fp, payloads.len());
+        assert!(err.contains("corrupt interior record at line 1"), "{err}");
+        remove_all(&[doc]);
     }
 }

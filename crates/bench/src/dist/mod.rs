@@ -1,13 +1,13 @@
 //! Fault-tolerant distributed matrix execution.
 //!
-//! The ROADMAP's dynamic-shard step: instead of static `--shard I/N`
-//! partitions, a [`Coordinator`] hands out cells off the shared cursor
-//! as deadline-bearing *leases* over a line-delimited JSON TCP protocol
-//! ([`protocol`]), re-queues whatever its workers lose, and feeds
-//! verified results through the same in-order sink discipline as the
-//! local streaming runner — so the merged document is **byte-identical
-//! to a local sequential run no matter which workers die** (up to the
-//! measured `wall_seconds`, exactly like shard merges).
+//! Dynamic sharding: instead of static `--shard I/N` partitions (each
+//! written as a [`journal`]), a [`Coordinator`] hands out cells off the
+//! shared cursor as deadline-bearing *leases* over a line-delimited JSON
+//! TCP protocol ([`protocol`]), re-queues whatever its workers lose, and
+//! feeds verified results through the same in-order sink discipline as
+//! the local streaming runner — so the merged document is
+//! **byte-identical to a local sequential run no matter which workers
+//! die** (up to the measured `wall_seconds`, exactly like shard merges).
 //!
 //! The paper's premise — transient faults are survived by re-execution
 //! — applied to the harness itself: [`chaos`] injects seeded kill /
@@ -28,7 +28,7 @@ pub mod worker;
 
 pub use chaos::{ChaosAction, ChaosPlan, ChaosState};
 pub use coordinator::{Coordinator, RunOpts};
-pub use journal::{load_journal, Journal, JournalReplay, JOURNAL_VERSION};
+pub use journal::{load_journal, load_journals, Journal, JournalReplay, JOURNAL_VERSION};
 pub use protocol::{matrix_fingerprint, Frame, PROTO_VERSION};
 pub use worker::{run_worker, Backoff, WorkerConfig, WorkerOutcome, WorkerReport};
 

@@ -31,7 +31,6 @@ pub mod dist;
 pub mod experiment;
 pub mod figures;
 pub mod matrix;
-pub mod merge;
 
 /// Version of the cell-evaluation engine. Bump on any change that
 /// alters rendered cell payloads for identical inputs: it guards both
@@ -55,4 +54,3 @@ pub use matrix::{
     run_cells, run_cells_streaming, run_matrix, BenchMeta, CellResult, CellSeeds, MatrixReport,
     MatrixRunConfig, Shard, StrategyCell,
 };
-pub use merge::{merge_shard_texts, merge_shards, parse_shard_doc, read_shard_file, ShardDoc};

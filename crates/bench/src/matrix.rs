@@ -496,36 +496,28 @@ pub fn run_matrix(
 // streaming writer of `repro_matrix`.
 // ---------------------------------------------------------------------
 
-/// Metadata of a benchmark artifact (`BENCH_PR<N>.json`): the PR number,
-/// the smoke flag and — for sharded runs — the shard coordinates plus the
-/// full run's cell count, which `repro_matrix --merge` validates when
-/// stitching shard outputs back together. Golden snapshots carry no
-/// metadata at all.
+/// Metadata of a benchmark artifact (`BENCH_PR<N>.json`): the PR number
+/// and the smoke flag. Every artifact covers its whole matrix — a
+/// `--shard` run writes a journal, not a document — and golden
+/// snapshots carry no metadata at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchMeta {
     /// The PR number stamped into the artifact.
     pub pr: u32,
     /// Whether this was a `--smoke` run.
     pub smoke: bool,
-    /// For sharded runs: the shard and the total cell count of the full
-    /// (unsharded) run.
-    pub shard: Option<(Shard, usize)>,
 }
 
 impl BenchMeta {
-    /// Unsharded artifact metadata.
+    /// Artifact metadata.
     pub fn new(pr: u32, smoke: bool) -> Self {
-        BenchMeta {
-            pr,
-            smoke,
-            shard: None,
-        }
+        BenchMeta { pr, smoke }
     }
 }
 
 /// The opening of a matrix JSON document. `meta` (when present) tags the
-/// benchmark artifact with its PR number, smoke flag and (for sharded
-/// runs) shard coordinates; the golden snapshot omits it.
+/// benchmark artifact with its PR number and smoke flag; the golden
+/// snapshot omits it.
 pub fn json_header(arc: Cost, meta: Option<BenchMeta>) -> String {
     let mut out = String::from("{\n");
     if let Some(meta) = meta {
@@ -533,12 +525,6 @@ pub fn json_header(arc: Cost, meta: Option<BenchMeta>) -> String {
             "  \"bench\": \"repro_matrix\",\n  \"pr\": {},\n  \"smoke\": {},\n",
             meta.pr, meta.smoke
         ));
-        if let Some((shard, total)) = meta.shard {
-            out.push_str(&format!(
-                "  \"shard_index\": {},\n  \"shard_count\": {},\n  \"cells_total\": {total},\n",
-                shard.index, shard.count
-            ));
-        }
     }
     out.push_str(&format!("  \"arc\": {},\n  \"cells\": [\n", arc.units()));
     out

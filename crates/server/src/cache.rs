@@ -32,15 +32,13 @@
 //! The header carries what a *different* request on the same scenario
 //! needs to warm-start from this entry: the canonical spec (donor
 //! index), the goal and ArC (donor ranking) and the winning design
-//! points ([`CellSeeds`], encoded by `encode_seeds`). A **v1** entry
-//! is bare payload bytes — it cannot start with `{"v":` because the
-//! cell renderer indents its first line — and reads as payload-only
-//! (no donor service); the next store under its key rewrites it as v2.
+//! points ([`CellSeeds`], encoded by `encode_seeds`).
 //!
-//! Both formats are validated on read: an empty or structurally
-//! truncated entry (external tampering, disk-full artifact) is counted
-//! as an error, deleted, and the lookup falls through to a miss — a
-//! torn file must never be served as a hit.
+//! Entries are validated on read: an empty or structurally truncated
+//! entry (external tampering, disk-full artifact), an unknown version
+//! or a headerless file — such as a bare-payload v1 entry from before
+//! the header existed — is counted as an error, deleted, and the lookup
+//! falls through to a miss. A torn file must never be served as a hit.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -133,12 +131,12 @@ pub struct EntryMeta {
     pub seeds: CellSeeds,
 }
 
-/// One memory-tier entry: the served bytes plus (for v2-born entries)
-/// the design points a warm start can seed from.
+/// One memory-tier entry: the served bytes plus the design points a
+/// warm start can seed from.
 #[derive(Debug, Clone)]
 struct CacheEntry {
     payload: String,
-    seeds: Option<CellSeeds>,
+    seeds: CellSeeds,
 }
 
 /// One donor-index row: a cache entry known to carry seeds for its
@@ -228,9 +226,9 @@ impl ResultCache {
         (hex.len() == 16).then(|| u64::from_str_radix(hex, 16).ok())?
     }
 
-    /// Builds the donor index from the disk tier's v2 headers (v1
-    /// entries carry no seeds and are skipped; unreadable files are
-    /// left for `lookup` to reject and count).
+    /// Builds the donor index from the disk tier's entry headers
+    /// (unreadable or malformed files are left for `lookup` to reject
+    /// and count).
     fn scan_donors(&mut self) {
         let Some(dir) = &self.disk else { return };
         let Ok(entries) = std::fs::read_dir(dir) else {
@@ -293,32 +291,18 @@ impl ResultCache {
                             key,
                             CacheEntry {
                                 payload: payload.clone(),
-                                seeds: Some(header.seeds),
+                                seeds: header.seeds,
                             },
                         );
                         return (Some(payload), CacheTier::Disk);
                     }
-                    None => match parse_v1_entry(&raw) {
-                        Some(payload) => {
-                            self.disk_hits += 1;
-                            touch(&path);
-                            self.mem.insert(
-                                key,
-                                CacheEntry {
-                                    payload: payload.to_string(),
-                                    seeds: None,
-                                },
-                            );
-                            return (Some(payload.to_string()), CacheTier::Disk);
-                        }
-                        None => {
-                            // Empty, torn, or tampered with: never
-                            // serve it — drop the file and recompute.
-                            self.errors += 1;
-                            let _ = std::fs::remove_file(&path);
-                            self.forget_donor(key);
-                        }
-                    },
+                    None => {
+                        // Empty, torn, or tampered with: never serve
+                        // it — drop the file and recompute.
+                        self.errors += 1;
+                        let _ = std::fs::remove_file(&path);
+                        self.forget_donor(key);
+                    }
                 },
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(_) => self.errors += 1,
@@ -340,7 +324,7 @@ impl ResultCache {
             key,
             CacheEntry {
                 payload: payload.to_string(),
-                seeds: Some(meta.seeds.clone()),
+                seeds: meta.seeds.clone(),
             },
         );
         self.remember_donor(key, &meta.spec, &meta.goal, meta.arc);
@@ -441,7 +425,7 @@ impl ResultCache {
     /// (a donor read is bookkeeping, not a served request).
     fn read_seeds(&mut self, key: u64) -> Option<CellSeeds> {
         if let Some(entry) = self.mem.get(&key) {
-            return entry.seeds.clone();
+            return Some(entry.seeds.clone());
         }
         let dir = self.disk.as_ref()?;
         let raw = std::fs::read_to_string(Self::entry_path(dir, key)).ok()?;
@@ -545,12 +529,8 @@ fn render_entry(payload: &str, meta: &EntryMeta) -> String {
 }
 
 /// Parses a v2 entry into `(header, payload)`. Returns `None` for
-/// anything else — the caller distinguishes v1 from corrupt via
-/// [`parse_v1_entry`].
+/// anything else: the caller treats it as corrupt.
 fn parse_entry(raw: &str) -> Option<(EntryHeader, &str)> {
-    if !raw.starts_with("{\"v\":") {
-        return None;
-    }
     let (header_line, payload) = raw.split_once('\n')?;
     let mut fields = parse_object(header_line).ok()?;
     let version: u64 = take_int(&mut fields, "v").ok()??;
@@ -573,14 +553,6 @@ fn parse_entry(raw: &str) -> Option<(EntryHeader, &str)> {
         },
         payload,
     ))
-}
-
-/// Accepts a bare pre-v2 payload entry. A v1 entry cannot start with
-/// `{"v":` — the cell renderer indents its first line — so anything
-/// with that prefix is a (possibly corrupt or future-versioned) header
-/// entry, never a v1 payload.
-fn parse_v1_entry(raw: &str) -> Option<&str> {
-    (!raw.starts_with("{\"v\":") && payload_shape_ok(raw)).then_some(raw)
 }
 
 /// Structural validation of served payload bytes: non-empty and
@@ -826,36 +798,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_entries_read_as_payload_only_and_rewrite_as_v2_on_store() {
-        let dir = temp_dir("migrate");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A pre-v2 entry: bare payload bytes, no header line.
-        let path = dir.join(format!("{:016x}.json", 42u64));
-        std::fs::write(&path, PAYLOAD).unwrap();
-        let mut cache = ResultCache::new(8, Some(&dir)).unwrap();
-        // Served byte-identical, as a disk hit, with no error counted —
-        // but it cannot donate seeds.
-        assert_eq!(
-            cache.lookup(42),
-            (Some(PAYLOAD.to_string()), CacheTier::Disk)
-        );
-        assert_eq!(cache.stats().errors, 0);
-        assert!(cache.find_warm("spec", "opt", 20, 0).is_none());
-        // The next store under the key upgrades the file to v2.
-        cache.store(42, PAYLOAD, &meta("spec", "opt", 20));
-        let raw = std::fs::read_to_string(&path).unwrap();
-        assert!(raw.starts_with("{\"v\":2,"), "{raw:?}");
-        assert!(cache.find_warm("spec", "min", 20, 0).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupt_disk_entries_are_rejected_deleted_and_counted() {
         for corrupt in [
             "",                          // zero-length (disk-full artifact)
             "{\"v\":2,\"goal\":\"opt\"", // truncated header, no payload
             "{\"v\":2,\"goal\":\"opt\",\"arc\":20,\"spec\":\"s\",\"seeds\":\"\"}\n    {\"trunc", // torn payload
             "{\"v\":9,\"goal\":\"opt\",\"arc\":20,\"spec\":\"s\",\"seeds\":\"\"}\n    {}", // unknown version
+            PAYLOAD, // bare payload, no header line (the pre-v2 format)
         ] {
             let dir = temp_dir("corrupt");
             std::fs::create_dir_all(&dir).unwrap();
