@@ -85,9 +85,9 @@ use ftes_bench::dist::{
     LocalWorkerSpec, RunOpts,
 };
 use ftes_bench::{
-    cell_json, json_footer, json_header, json_header_with, render_table_row, run_cells_streaming,
-    run_worker, BenchMeta, DistConfig, MatrixRunConfig, Shard, Strategy, WorkerConfig,
-    WorkerOutcome, ENGINE_VERSION,
+    cell_json, json_footer, json_header, render_table_row, run_cells_streaming, run_worker,
+    BenchMeta, DistConfig, MatrixRunConfig, Shard, Strategy, WorkerConfig, WorkerOutcome,
+    ENGINE_VERSION,
 };
 use ftes_gen::ScenarioMatrix;
 use ftes_model::Cost;
@@ -375,7 +375,7 @@ fn run_worker_mode(
 }
 
 /// Writes a document from payloads already in hand, with `extra` header
-/// lines (see [`json_header_with`]): the merged journals, or the
+/// lines (see [`json_header`]): the merged journals, or the
 /// distributed run's cells, which are buffered (the full v2 matrix
 /// renders under a megabyte) because its `dist_*` header stats are only
 /// final once the run completes.
@@ -388,7 +388,7 @@ fn write_doc(
 ) -> std::io::Result<()> {
     let file = std::fs::File::create(out)?;
     let mut writer = std::io::BufWriter::new(file);
-    writer.write_all(json_header_with(arc, Some(meta), extra).as_bytes())?;
+    writer.write_all(json_header(arc, Some(meta), extra).as_bytes())?;
     for (i, payload) in payloads.iter().enumerate() {
         if i > 0 {
             writer.write_all(b",\n")?;
@@ -529,7 +529,7 @@ fn main() {
                 write_addr_file(path, actual)
                     .unwrap_or_else(|e| fail(format!("cannot write --addr-file {path}: {e}")));
             }
-            coordinator.run_with(&cells, &Strategy::ALL, arc, budget, opts, sink)
+            coordinator.run(&cells, &Strategy::ALL, arc, budget, opts, sink)
         } else {
             let n = dist_workers.unwrap_or(1).max(1);
             // Worker 0 carries the chaos budget; the rest stay clean so
@@ -570,15 +570,16 @@ fn main() {
         }
         write_doc(&out, arc, meta, &stats.header_lines(), &payloads)
             .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
+        let counters: Vec<String> = stats
+            .counters()
+            .iter()
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect();
         eprintln!(
-            "wrote {out} ({} cells in {:.1}s; {} worker(s) registered, {} lease(s) re-queued, \
-             {} duplicate(s) dropped, {} cell(s) run locally)",
+            "wrote {out} ({} cells in {:.1}s; {})",
             payloads.len(),
             start.elapsed().as_secs_f64(),
-            stats.workers_registered,
-            stats.leases_requeued,
-            stats.duplicates_dropped,
-            stats.local_fallback_cells,
+            counters.join(" "),
         );
         std::process::exit(0);
     }
@@ -619,7 +620,7 @@ fn main() {
                 .unwrap_or_else(|e| fail(e));
             let mut writer = std::io::BufWriter::new(file);
             writer
-                .write_all(json_header(arc, Some(meta)).as_bytes())
+                .write_all(json_header(arc, Some(meta), "").as_bytes())
                 .map_err(write_err)
                 .unwrap_or_else(|e| fail(e));
             Sink::Doc(writer)

@@ -49,23 +49,16 @@ use ftes_bench::sweep_opt_config;
 use ftes_bench::Strategy;
 use ftes_gen::{generate_instance, ExperimentConfig};
 use ftes_model::System;
-use ftes_opt::{design_strategy, EvalMode, OptConfig, Threads};
+use ftes_opt::{design_strategy, EvalMode, ExplorationStats, OptConfig, Threads};
 
 /// One timed run of `design_strategy` over a set of systems.
 struct ModeResult {
     seconds: f64,
     costs: Vec<Option<u64>>,
-    architectures_evaluated: u64,
-    architectures_pruned: u64,
-    evaluations: u64,
-    sfp_nodes_computed: u64,
-    sfp_nodes_reused: u64,
-    priority_recomputed: u64,
-    priority_reused: u64,
-    mapping_memo_hits: u64,
-    mapping_memo_misses: u64,
-    batched_probes: u64,
-    arena_reuses: u64,
+    /// Architectures walked (evaluated or pruned), for the walk rate.
+    architectures: u64,
+    /// [`ExplorationStats::counters`], summed over the systems.
+    counters: Vec<(&'static str, u64)>,
 }
 
 fn run_mode_once(systems: &[System], config: &OptConfig) -> ModeResult {
@@ -73,34 +66,19 @@ fn run_mode_once(systems: &[System], config: &OptConfig) -> ModeResult {
     let mut result = ModeResult {
         seconds: 0.0,
         costs: Vec::with_capacity(systems.len()),
-        architectures_evaluated: 0,
-        architectures_pruned: 0,
-        evaluations: 0,
-        sfp_nodes_computed: 0,
-        sfp_nodes_reused: 0,
-        priority_recomputed: 0,
-        priority_reused: 0,
-        mapping_memo_hits: 0,
-        mapping_memo_misses: 0,
-        batched_probes: 0,
-        arena_reuses: 0,
+        architectures: 0,
+        counters: ExplorationStats::default().counters().collect(),
     };
     for system in systems {
         let outcome = design_strategy(system, config).expect("generated systems are valid");
         match outcome {
             Some(out) => {
                 result.costs.push(Some(out.solution.cost.units()));
-                result.architectures_evaluated += u64::from(out.stats.architectures_evaluated);
-                result.architectures_pruned += u64::from(out.stats.architectures_pruned);
-                result.evaluations += out.stats.eval.evaluations;
-                result.sfp_nodes_computed += out.stats.eval.sfp_nodes_computed;
-                result.sfp_nodes_reused += out.stats.eval.sfp_nodes_reused;
-                result.priority_recomputed += out.stats.eval.priority_recomputed;
-                result.priority_reused += out.stats.eval.priority_reused;
-                result.mapping_memo_hits += out.stats.eval.mapping_memo_hits;
-                result.mapping_memo_misses += out.stats.eval.mapping_memo_misses;
-                result.batched_probes += out.stats.eval.batched_probes;
-                result.arena_reuses += out.stats.eval.arena_reuses;
+                result.architectures +=
+                    u64::from(out.stats.architectures_evaluated + out.stats.architectures_pruned);
+                for (total, (_, value)) in result.counters.iter_mut().zip(out.stats.counters()) {
+                    total.1 += value;
+                }
             }
             None => result.costs.push(None),
         }
@@ -124,41 +102,19 @@ fn run_mode(systems: &[System], config: &OptConfig, series: usize) -> ModeResult
     best
 }
 
+/// One pipeline's JSON object: its wall time and walk rate, then every
+/// counter under its field name.
 fn mode_json(name: &str, mode: &ModeResult) -> String {
-    let archs = mode.architectures_evaluated + mode.architectures_pruned;
-    format!(
-        concat!(
-            "    \"{}\": {{\n",
-            "      \"wall_seconds\": {:.6},\n",
-            "      \"architectures_evaluated\": {},\n",
-            "      \"architectures_pruned\": {},\n",
-            "      \"architectures_per_second\": {:.3},\n",
-            "      \"candidate_evaluations\": {},\n",
-            "      \"sfp_nodes_computed\": {},\n",
-            "      \"sfp_nodes_reused\": {},\n",
-            "      \"priority_recomputed\": {},\n",
-            "      \"priority_recomputes_avoided\": {},\n",
-            "      \"tabu_memo_hits\": {},\n",
-            "      \"tabu_memo_misses\": {},\n",
-            "      \"batched_probes\": {},\n",
-            "      \"arena_reuses\": {}\n",
-            "    }}"
-        ),
-        name,
+    let mut out = format!(
+        "    \"{name}\": {{\n      \"wall_seconds\": {:.6},\n      \"architectures_per_second\": {:.3}",
         mode.seconds,
-        mode.architectures_evaluated,
-        mode.architectures_pruned,
-        archs as f64 / mode.seconds.max(1e-12),
-        mode.evaluations,
-        mode.sfp_nodes_computed,
-        mode.sfp_nodes_reused,
-        mode.priority_recomputed,
-        mode.priority_reused,
-        mode.mapping_memo_hits,
-        mode.mapping_memo_misses,
-        mode.batched_probes,
-        mode.arena_reuses,
-    )
+        mode.architectures as f64 / mode.seconds.max(1e-12),
+    );
+    for (key, value) in &mode.counters {
+        out.push_str(&format!(",\n      \"{key}\": {value}"));
+    }
+    out.push_str("\n    }");
+    out
 }
 
 /// The pipeline timings of one system set.
@@ -189,21 +145,16 @@ fn bench_set(label: &str, systems: &[System], base: &OptConfig, series: usize) -
     );
 
     let speedup_incremental = scratch.seconds / incremental.seconds.max(1e-12);
+    let counters: Vec<String> = incremental
+        .counters
+        .iter()
+        .map(|(key, value)| format!("{key}={value}"))
+        .collect();
     eprintln!(
-        "{label}: scratch {:.3}s | incremental {:.3}s ({speedup_incremental:.2}x) | \
-         evaluations {} | sfp reuse {}/{} | priority reuse {}/{} | tabu memo {}/{} | \
-         batched probes {} | arena reuses {}",
+        "{label}: scratch {:.3}s | incremental {:.3}s ({speedup_incremental:.2}x) | {}",
         scratch.seconds,
         incremental.seconds,
-        incremental.evaluations,
-        incremental.sfp_nodes_reused,
-        incremental.sfp_nodes_computed + incremental.sfp_nodes_reused,
-        incremental.priority_reused,
-        incremental.priority_recomputed + incremental.priority_reused,
-        incremental.mapping_memo_hits,
-        incremental.mapping_memo_hits + incremental.mapping_memo_misses,
-        incremental.batched_probes,
-        incremental.arena_reuses,
+        counters.join(" "),
     );
 
     let json = format!(
@@ -417,6 +368,40 @@ mod tests {
     fn parse(args: &[&str]) -> Result<Cli, String> {
         let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         parse_cli(&raw)
+    }
+
+    #[test]
+    fn mode_json_keys_each_counter_by_its_field_name_once() {
+        let mut stats = ExplorationStats {
+            architectures_evaluated: 1,
+            architectures_pruned: 2,
+            warm_seeded: 3,
+            ..ExplorationStats::default()
+        };
+        stats.eval.evaluations = 4;
+        stats.eval.mapping_memo_hits = 11;
+        stats.eval.arena_reuses = 14;
+        let mode = ModeResult {
+            seconds: 2.0,
+            costs: Vec::new(),
+            architectures: 3,
+            counters: stats.counters().collect(),
+        };
+        let json = format!("{{\n{}\n}}", mode_json("incremental", &mode));
+        assert_eq!(
+            json_number(&json, &["incremental", "architectures_per_second"]),
+            Some(1.5)
+        );
+        for (key, value) in stats.counters() {
+            assert_eq!(json.matches(&format!("\"{key}\":")).count(), 1, "{key}");
+            assert_eq!(
+                json_number(&json, &["incremental", key]),
+                Some(value as f64),
+                "{key}"
+            );
+        }
+        // The object's own key, the two timings, the 14 counters.
+        assert_eq!(json.matches("\":").count(), 1 + 2 + 14, "{json}");
     }
 
     #[test]

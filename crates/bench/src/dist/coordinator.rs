@@ -70,6 +70,15 @@ use super::{DistConfig, DistStats};
 use crate::matrix::{cell_json, run_cell_seeded};
 use crate::Strategy;
 
+/// Leases in flight per worker. Two keep a worker busy while its
+/// previous result is in transit and give the shutdown drain something
+/// real to drain.
+const PIPELINE: usize = 2;
+
+/// Registration deadline (milliseconds) for a fresh connection to
+/// present its hello frame.
+const HELLO_MS: u64 = 5_000;
+
 /// Where a cell currently is in the lease lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CellState {
@@ -240,10 +249,9 @@ impl Shared {
     }
 }
 
-/// Crash-safety / chaos options for [`Coordinator::run_with`]. The
-/// default (`RunOpts::default()`) is a plain fresh run: no journal, no
-/// durable cells, epoch 1, no coordinator chaos — exactly what
-/// [`Coordinator::run`] uses.
+/// Crash-safety / chaos options for [`Coordinator::run`]. The default
+/// (`RunOpts::default()`) is a plain fresh run: no journal, no durable
+/// cells, epoch 1, no coordinator chaos.
 #[derive(Debug)]
 pub struct RunOpts {
     /// Write-ahead journal: every verified result is fsync'd to it
@@ -315,30 +323,10 @@ impl Coordinator {
     /// every cell has been emitted exactly once.
     ///
     /// `budget` governs the local-fallback engine only; remote workers
-    /// bring their own cores.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line description if the exactly-once accounting is
-    /// violated (a bug guard — the protocol is designed to make it
-    /// impossible).
-    pub fn run<F>(
-        self,
-        cells: &[Scenario],
-        strategies: &[Strategy],
-        arc: Cost,
-        budget: CoreBudget,
-        sink: F,
-    ) -> Result<DistStats, String>
-    where
-        F: FnMut(usize, &str),
-    {
-        self.run_with(cells, strategies, arc, budget, RunOpts::default(), sink)
-    }
-
-    /// [`run`](Coordinator::run) with crash-safety options: an attached
-    /// write-ahead journal, a durable set replayed from a previous life,
-    /// the run epoch, and the `ckill` crash simulation. See [`RunOpts`].
+    /// bring their own cores. `opts` carries the crash-safety options —
+    /// an attached write-ahead journal, a durable set replayed from a
+    /// previous life, the run epoch and the `ckill` crash simulation
+    /// (see [`RunOpts`]); `RunOpts::default()` is a plain fresh run.
     ///
     /// The sink receives only cells completed *this* life — durable
     /// cells from `opts.durable` are advanced past silently (they are
@@ -349,11 +337,12 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// Returns a one-line description when the accounting is violated,
-    /// a journal write fails (durability cannot be silently dropped),
-    /// or the `ckill` simulation fires (the run "crashed": the journal
-    /// is retained, nothing else is).
-    pub fn run_with<F>(
+    /// Returns a one-line description when the exactly-once accounting
+    /// is violated (a bug guard — the protocol is designed to make it
+    /// impossible), a journal write fails (durability cannot be
+    /// silently dropped), or the `ckill` simulation fires (the run
+    /// "crashed": the journal is retained, nothing else is).
+    pub fn run<F>(
         self,
         cells: &[Scenario],
         strategies: &[Strategy],
@@ -478,7 +467,7 @@ impl Coordinator {
                         emit_counts[next] += 1;
                         sink_emitted += 1;
                         if cfg.progress {
-                            eprintln!("[{}/{total}] {}", next + 1, payload_label(&payload));
+                            eprintln!("[{}/{total}] {}", next + 1, cells[next].label());
                         }
                         sink(next, &payload);
                     } else {
@@ -493,7 +482,7 @@ impl Coordinator {
                     break;
                 }
                 let deserted = st.connected == 0 && st.last_activity.elapsed() >= grace;
-                if deserted && cfg.local_fallback && !st.pending.is_empty() {
+                if deserted && !st.pending.is_empty() {
                     // Degrade gracefully: no workers around — run the
                     // next pending cell ourselves instead of hanging.
                     let cell = st.pending.pop_front().expect("checked non-empty");
@@ -559,14 +548,6 @@ pub(super) fn render_cell(
     )
 }
 
-/// Pulls the cell label out of a rendered payload for progress lines.
-fn payload_label(payload: &str) -> &str {
-    payload
-        .split_once("\"scenario\": \"")
-        .and_then(|(_, rest)| rest.split_once('"'))
-        .map_or("<cell>", |(label, _)| label)
-}
-
 /// Serves one worker connection: registration, lease pipelining, result
 /// verification, deadline enforcement, drain-and-shutdown. `epoch` is
 /// this coordinator life's number — handed out in `welcome`, required
@@ -587,7 +568,7 @@ fn handle_worker(
     let mut reader = FrameReader::new();
 
     // Registration.
-    let hello_deadline = Instant::now() + Duration::from_millis(cfg.hello_ms);
+    let hello_deadline = Instant::now() + Duration::from_millis(HELLO_MS);
     let hello = reader.read_line(&mut stream, hello_deadline, poll, || shared.done());
     let (name, _worker_id) = match hello
         .map_err(|e| format!("{e:?}"))
@@ -664,7 +645,7 @@ fn handle_worker(
             if st.done() {
                 break 'serve;
             }
-            while outstanding.len() + to_send.len() < cfg.pipeline.max(1) {
+            while outstanding.len() + to_send.len() < PIPELINE {
                 let Some(cell) = st.pending.pop_front() else {
                     break;
                 };

@@ -716,6 +716,7 @@ mod tests {
                 json_header(
                     crate::MatrixRunConfig::default().arc,
                     Some(BenchMeta::new(5, false)),
+                    "",
                 ),
                 merged.join(",\n"),
                 json_footer()

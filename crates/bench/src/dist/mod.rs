@@ -48,25 +48,15 @@ pub struct DistConfig {
     /// Local-fallback grace (milliseconds): with no worker connected
     /// for this long (none ever registered, or all died), the
     /// coordinator starts running pending cells itself. `0` falls back
-    /// immediately.
+    /// immediately; `u64::MAX` never does, so a fully deserted
+    /// coordinator waits for workers indefinitely.
     pub grace_ms: u64,
-    /// Leases in flight per worker (pipelining depth; ≥ 1). Depth 2
-    /// keeps a worker busy while its previous result is in transit and
-    /// gives the shutdown drain something real to drain.
-    pub pipeline: usize,
     /// Socket read slice (milliseconds): frame reads re-check their
     /// deadline and the end of the run this often, and no read or write
     /// blocks longer than a few of these. Accepts do not wait on it;
     /// they block until a worker connects or the emitter's end-of-run
     /// self-connect wakes them.
     pub io_poll_ms: u64,
-    /// Registration deadline (milliseconds) for a fresh connection to
-    /// present its hello frame.
-    pub hello_ms: u64,
-    /// Run pending cells locally when deserted (see `grace_ms`).
-    /// Disabling this means a fully deserted coordinator waits for
-    /// workers indefinitely.
-    pub local_fallback: bool,
     /// Render `wall_seconds` into cell payloads (fingerprinted, so
     /// workers must be launched to match).
     pub timings: bool,
@@ -79,10 +69,7 @@ impl Default for DistConfig {
         DistConfig {
             lease_ms: 30_000,
             grace_ms: 2_000,
-            pipeline: 2,
             io_poll_ms: 100,
-            hello_ms: 5_000,
-            local_fallback: true,
             timings: true,
             progress: false,
         }
@@ -129,43 +116,35 @@ pub struct DistStats {
 }
 
 impl DistStats {
-    /// The `dist_*` header lines (each `"  \"k\": v,\n"`), ready for
-    /// [`json_header_with`](crate::matrix::json_header_with). They are
+    /// Every counter as a `(name, value)` pair, in header order.
+    pub fn counters(&self) -> [(&'static str, u64); 14] {
+        [
+            ("workers_registered", self.workers_registered),
+            ("workers_disconnected", self.workers_disconnected),
+            ("workers_rejected", self.workers_rejected),
+            ("leases_granted", self.leases_granted),
+            ("leases_expired", self.leases_expired),
+            ("leases_requeued", self.leases_requeued),
+            ("results_ok", self.results_ok),
+            ("results_rejected", self.results_rejected),
+            ("duplicates_dropped", self.duplicates_dropped),
+            ("local_fallback_cells", self.local_fallback_cells),
+            ("cells_emitted", self.cells_emitted),
+            ("journaled_cells", self.journaled_cells),
+            ("resumed_cells", self.resumed_cells),
+            ("stale_results", self.stale_results),
+        ]
+    }
+
+    /// The `dist_*` header lines (each `"  \"dist_<name>\": v,\n"`),
+    /// ready for [`json_header`](crate::matrix::json_header). They are
     /// one-key-per-line so byte comparisons against a local run can
     /// strip them with `grep -v '"dist_'`.
     pub fn header_lines(&self) -> String {
-        format!(
-            concat!(
-                "  \"dist_workers_registered\": {},\n",
-                "  \"dist_workers_disconnected\": {},\n",
-                "  \"dist_workers_rejected\": {},\n",
-                "  \"dist_leases_granted\": {},\n",
-                "  \"dist_leases_expired\": {},\n",
-                "  \"dist_leases_requeued\": {},\n",
-                "  \"dist_results_ok\": {},\n",
-                "  \"dist_results_rejected\": {},\n",
-                "  \"dist_duplicates_dropped\": {},\n",
-                "  \"dist_local_fallback_cells\": {},\n",
-                "  \"dist_cells_emitted\": {},\n",
-                "  \"dist_journaled_cells\": {},\n",
-                "  \"dist_resumed_cells\": {},\n",
-                "  \"dist_stale_results\": {},\n",
-            ),
-            self.workers_registered,
-            self.workers_disconnected,
-            self.workers_rejected,
-            self.leases_granted,
-            self.leases_expired,
-            self.leases_requeued,
-            self.results_ok,
-            self.results_rejected,
-            self.duplicates_dropped,
-            self.local_fallback_cells,
-            self.cells_emitted,
-            self.journaled_cells,
-            self.resumed_cells,
-            self.stale_results,
-        )
+        self.counters()
+            .iter()
+            .map(|(name, value)| format!("  \"dist_{name}\": {value},\n"))
+            .collect()
     }
 }
 
@@ -222,7 +201,7 @@ where
 /// # Errors
 ///
 /// Propagates bind failures, accounting violations, journal write
-/// failures and the `ckill` abort from [`Coordinator::run_with`].
+/// failures and the `ckill` abort from [`Coordinator::run`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_dist_local_opts<F>(
     cells: &[Scenario],
@@ -264,11 +243,56 @@ where
                 scope.spawn(move || run_worker(&addr, cells, strategies, arc, &worker_cfg))
             })
             .collect();
-        let stats = coordinator.run_with(cells, strategies, arc, budget, opts, sink);
+        let stats = coordinator.run(cells, strategies, arc, budget, opts, sink);
         for (slot, handle) in reports.iter_mut().zip(handles) {
             *slot = Some(handle.join().expect("worker thread panicked"));
         }
         stats
     })?;
     Ok((stats, reports.into_iter().map(Option::unwrap).collect()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn header_lines_are_pinned_byte_for_byte() {
+        // Distinct values, so a swapped, dropped or doubled counter shows.
+        let stats = DistStats {
+            workers_registered: 1,
+            workers_disconnected: 2,
+            workers_rejected: 3,
+            leases_granted: 4,
+            leases_expired: 5,
+            leases_requeued: 6,
+            results_ok: 7,
+            results_rejected: 8,
+            duplicates_dropped: 9,
+            local_fallback_cells: 10,
+            cells_emitted: 11,
+            journaled_cells: 12,
+            resumed_cells: 13,
+            stale_results: 14,
+        };
+        assert_eq!(
+            stats.header_lines(),
+            concat!(
+                "  \"dist_workers_registered\": 1,\n",
+                "  \"dist_workers_disconnected\": 2,\n",
+                "  \"dist_workers_rejected\": 3,\n",
+                "  \"dist_leases_granted\": 4,\n",
+                "  \"dist_leases_expired\": 5,\n",
+                "  \"dist_leases_requeued\": 6,\n",
+                "  \"dist_results_ok\": 7,\n",
+                "  \"dist_results_rejected\": 8,\n",
+                "  \"dist_duplicates_dropped\": 9,\n",
+                "  \"dist_local_fallback_cells\": 10,\n",
+                "  \"dist_cells_emitted\": 11,\n",
+                "  \"dist_journaled_cells\": 12,\n",
+                "  \"dist_resumed_cells\": 13,\n",
+                "  \"dist_stale_results\": 14,\n",
+            )
+        );
+    }
 }

@@ -517,8 +517,11 @@ impl BenchMeta {
 
 /// The opening of a matrix JSON document. `meta` (when present) tags the
 /// benchmark artifact with its PR number and smoke flag; the golden
-/// snapshot omits it.
-pub fn json_header(arc: Cost, meta: Option<BenchMeta>) -> String {
+/// snapshot omits it. `extra` header lines (each already formatted as
+/// `  "key": value,\n`) go just before the `"arc"` line — the
+/// distributed runner's [`DistStats`](crate::dist::DistStats) lines,
+/// stripped with `grep -v '"dist_'` when comparing; `""` for none.
+pub fn json_header(arc: Cost, meta: Option<BenchMeta>, extra: &str) -> String {
     let mut out = String::from("{\n");
     if let Some(meta) = meta {
         out.push_str(&format!(
@@ -526,21 +529,9 @@ pub fn json_header(arc: Cost, meta: Option<BenchMeta>) -> String {
             meta.pr, meta.smoke
         ));
     }
+    out.push_str(extra);
     out.push_str(&format!("  \"arc\": {},\n  \"cells\": [\n", arc.units()));
     out
-}
-
-/// [`json_header`] with extra header lines (each already formatted as
-/// `  "key": value,\n`) spliced in just before the `"arc"` line — used by
-/// the distributed runner to surface its
-/// [`DistStats`](crate::dist::DistStats) without disturbing the rest of
-/// the document (strip with `grep -v '"dist_'` when comparing).
-pub fn json_header_with(arc: Cost, meta: Option<BenchMeta>, extra: &str) -> String {
-    let base = json_header(arc, meta);
-    let arc_line = base
-        .rfind("  \"arc\": ")
-        .expect("json_header always renders an arc line");
-    format!("{}{extra}{}", &base[..arc_line], &base[arc_line..])
 }
 
 /// One cell as a JSON object (no trailing separator). With `timings`,
@@ -642,7 +633,7 @@ impl MatrixReport {
     }
 
     fn render_json(&self, timings: bool, meta: Option<BenchMeta>) -> String {
-        let mut out = json_header(self.arc, meta);
+        let mut out = json_header(self.arc, meta, "");
         for (ci, cell) in self.cells.iter().enumerate() {
             if ci > 0 {
                 out.push_str(",\n");
@@ -804,7 +795,7 @@ mod tests {
             ..MatrixRunConfig::default()
         };
         let report = run_cells(&cells, &[Strategy::Opt, Strategy::Min], &cfg);
-        let mut streamed = json_header(cfg.arc, None);
+        let mut streamed = json_header(cfg.arc, None, "");
         for (i, cell) in report.cells.iter().enumerate() {
             if i > 0 {
                 streamed.push_str(",\n");

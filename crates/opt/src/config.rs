@@ -196,10 +196,6 @@ pub struct OptConfig {
     pub max_k: MaxK,
     /// Tabu-search parameters.
     pub tabu: TabuConfig,
-    /// Cap on the number of nodes of explored architectures
-    /// (`None` = up to the number of platform node types, the paper's
-    /// `|N|`).
-    pub max_nodes: Option<usize>,
     /// Candidate-evaluation pipeline (incremental vs from-scratch).
     pub eval_mode: EvalMode,
     /// Capacity of the cross-iteration mapping-outcome memo (entries;
@@ -247,7 +243,6 @@ mod tests {
         assert_eq!(cfg.rounding, Rounding::Pessimistic);
         assert_eq!(cfg.max_k.0, 30);
         assert!(cfg.tabu.max_iterations >= cfg.tabu.max_no_improve);
-        assert_eq!(cfg.max_nodes, None);
         assert_eq!(cfg.eval_mode, EvalMode::Incremental);
         assert_eq!(cfg.mapping_memo, MemoCap(4096));
         assert_eq!(cfg.warm_start, None);

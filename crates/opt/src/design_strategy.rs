@@ -44,6 +44,22 @@ pub struct ExplorationStats {
     pub eval: EvalStats,
 }
 
+impl ExplorationStats {
+    /// Every live counter as a `(name, value)` pair: the architecture
+    /// counters, then [`EvalStats::counters`] (`worker_threads`, always
+    /// 1, is left out).
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        [
+            ("architectures_evaluated", self.architectures_evaluated),
+            ("architectures_pruned", self.architectures_pruned),
+            ("warm_seeded", self.warm_seeded),
+        ]
+        .map(|(name, value)| (name, u64::from(value)))
+        .into_iter()
+        .chain(self.eval.counters())
+    }
+}
+
 /// Outcome of [`design_strategy`]: the cheapest schedulable, reliable
 /// solution plus exploration statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,10 +118,8 @@ pub fn design_strategy(
     config: &OptConfig,
 ) -> Result<Option<DesignOutcome>, ModelError> {
     let platform = system.platform();
-    let max_nodes = config
-        .max_nodes
-        .unwrap_or_else(|| platform.node_type_count())
-        .max(1);
+    // Up to one node per platform node type, the paper's `|N|`.
+    let max_nodes = platform.node_type_count().max(1);
     let warm = config
         .warm_start
         .as_ref()
@@ -369,19 +383,6 @@ mod tests {
         // With Cbest = 72 found on two nodes, the pure-N2 pair (min cost
         // 2×20 = 40) is still evaluated but nothing above 72 is.
         assert!(out.stats.architectures_evaluated + out.stats.architectures_pruned >= 3);
-    }
-
-    #[test]
-    fn max_nodes_caps_exploration() {
-        let sys = paper::fig1_system();
-        let config = OptConfig {
-            max_nodes: Some(1),
-            ..OptConfig::default()
-        };
-        let out = design_strategy(&sys, &config).unwrap().expect("feasible");
-        // Restricted to one node, the best is Fig. 4e: N2^3 at cost 80.
-        assert_eq!(out.solution.cost, Cost::new(80));
-        assert_eq!(out.solution.architecture.node_count(), 1);
     }
 
     /// The donor design point of a finished run, as the server's cache

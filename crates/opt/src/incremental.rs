@@ -173,6 +173,26 @@ pub struct EvalStats {
     pub arena_reuses: u64,
 }
 
+impl EvalStats {
+    /// Every live counter as a `(name, value)` pair, in field order
+    /// (`cache_hits`, always 0, is left out).
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
+        [
+            ("evaluations", self.evaluations),
+            ("sfp_nodes_computed", self.sfp_nodes_computed),
+            ("sfp_nodes_reused", self.sfp_nodes_reused),
+            ("series_memo_hits", self.series_memo_hits),
+            ("series_computed", self.series_computed),
+            ("priority_recomputed", self.priority_recomputed),
+            ("priority_reused", self.priority_reused),
+            ("mapping_memo_hits", self.mapping_memo_hits),
+            ("mapping_memo_misses", self.mapping_memo_misses),
+            ("batched_probes", self.batched_probes),
+            ("arena_reuses", self.arena_reuses),
+        ]
+    }
+}
+
 /// Stateful candidate evaluator shared across the probes of one search.
 ///
 /// Construct once per search and feed every candidate through

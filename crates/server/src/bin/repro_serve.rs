@@ -24,12 +24,13 @@
 //! plus `donor=<16 hex>` on a warm start) and the
 //! payload to `--out PATH` (or stdout when no `--out` is given) — CI
 //! greps the metadata and byte-compares the payloads. `--stats` prints
-//! the counters on one line, including the derived
-//! `engine_runs = misses - coalesced` (actual engine executions: every
-//! miss that did not join another request's in-flight run). `--flush`
-//! drops every cached entry from both tiers; `--evict KEY` drops one
-//! entry by its 16-hex content address. Exit codes: 0 success, 1
-//! server-side error response, 2 usage, 4 cannot connect.
+//! the counters on one `name=value` line in the `stats` response's
+//! order, then the derived `engine_runs = misses - coalesced` (actual
+//! engine executions: every miss that did not join another request's
+//! in-flight run); the daemon prints the same line when it shuts
+//! down. `--flush` drops every cached entry from both tiers; `--evict
+//! KEY` drops one entry by its 16-hex content address. Exit codes: 0
+//! success, 1 server-side error response, 2 usage, 4 cannot connect.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
@@ -37,7 +38,7 @@ use std::path::PathBuf;
 
 use ftes_bench::cli::{parse_value, resolve_addr, take_value, write_addr_file};
 use ftes_opt::Threads;
-use ftes_server::{Goal, Request, Response, Server, ServerConfig};
+use ftes_server::{CacheStats, Goal, Request, Response, Server, ServerConfig};
 
 /// The usage block printed (to stderr) with every CLI error.
 const USAGE: &str = "usage: repro_serve --listen ADDR [--addr-file PATH] [--cache-dir DIR] \
@@ -258,25 +259,7 @@ fn run_listen(
     }
     match server.run() {
         Ok(stats) => {
-            eprintln!(
-                "shut down after {} request(s): {} mem hit(s), {} disk hit(s), {} miss(es), \
-                 {} engine run(s), {} coalesced, {} warm start(s), {} disk write(s), \
-                 {} eviction(s), {} disk eviction(s), {} flush(es), {} admin eviction(s), \
-                 {} error(s)",
-                stats.requests,
-                stats.mem_hits,
-                stats.disk_hits,
-                stats.misses,
-                stats.misses.saturating_sub(stats.coalesced),
-                stats.coalesced,
-                stats.warm_starts,
-                stats.disk_writes,
-                stats.mem_evictions,
-                stats.disk_evictions,
-                stats.admin_flushes,
-                stats.admin_evictions,
-                stats.errors,
-            );
+            eprintln!("shut down: {}", stats_line(stats));
             std::process::exit(0);
         }
         Err(e) => {
@@ -284,6 +267,18 @@ fn run_listen(
             std::process::exit(1);
         }
     }
+}
+
+/// The counters as one `name=value` line, plus the derived
+/// `engine_runs`: misses that coalesced onto an in-flight run never
+/// reached the engine, so this is the dedup headline.
+fn stats_line(mut stats: CacheStats) -> String {
+    let engine_runs = stats.misses.saturating_sub(stats.coalesced);
+    let mut line = String::new();
+    for (name, value) in stats.counters() {
+        line.push_str(&format!("{name}={value} "));
+    }
+    line + &format!("engine_runs={engine_runs}")
 }
 
 /// Sends one request line and reads one response line.
@@ -352,27 +347,7 @@ fn run_client(addr_spec: &str, action: ClientAction, out: Option<&str>) -> ! {
             std::process::exit(0);
         }
         Response::Stats(s) => {
-            println!(
-                "requests={} mem_hits={} disk_hits={} misses={} engine_runs={} disk_writes={} \
-                 mem_evictions={} mem_entries={} coalesced={} warm_starts={} \
-                 disk_evictions={} admin_flushes={} admin_evictions={} errors={}",
-                s.requests,
-                s.mem_hits,
-                s.disk_hits,
-                s.misses,
-                // Misses that coalesced onto an in-flight run never
-                // reached the engine: this is the dedup headline.
-                s.misses.saturating_sub(s.coalesced),
-                s.disk_writes,
-                s.mem_evictions,
-                s.mem_entries,
-                s.coalesced,
-                s.warm_starts,
-                s.disk_evictions,
-                s.admin_flushes,
-                s.admin_evictions,
-                s.errors,
-            );
+            println!("{}", stats_line(s));
             std::process::exit(0);
         }
         Response::Flushed { mem, disk } => {
@@ -430,6 +405,31 @@ mod tests {
     fn parse(args: &[&str]) -> Result<Mode, String> {
         let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         parse_cli(&raw)
+    }
+
+    #[test]
+    fn stats_line_lists_every_counter_then_engine_runs() {
+        let stats = CacheStats {
+            requests: 20,
+            mem_hits: 3,
+            disk_hits: 2,
+            misses: 15,
+            disk_writes: 9,
+            mem_evictions: 1,
+            mem_entries: 8,
+            coalesced: 4,
+            warm_starts: 5,
+            disk_evictions: 6,
+            errors: 7,
+            admin_flushes: 10,
+            admin_evictions: 11,
+        };
+        assert_eq!(
+            stats_line(stats),
+            "requests=20 mem_hits=3 disk_hits=2 misses=15 disk_writes=9 mem_evictions=1 \
+             mem_entries=8 coalesced=4 warm_starts=5 disk_evictions=6 admin_flushes=10 \
+             admin_evictions=11 errors=7 engine_runs=11"
+        );
     }
 
     #[test]

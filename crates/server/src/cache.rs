@@ -117,6 +117,30 @@ pub struct CacheStats {
     pub admin_evictions: u64,
 }
 
+impl CacheStats {
+    /// Every counter as a `(name, slot)` pair, in the `stats` response's
+    /// wire order. The one list the response's render and parse and the
+    /// client's `--stats` line all walk; the `&mut` slots let a parser
+    /// fill the counters in place.
+    pub fn counters(&mut self) -> [(&'static str, &mut u64); 13] {
+        [
+            ("requests", &mut self.requests),
+            ("mem_hits", &mut self.mem_hits),
+            ("disk_hits", &mut self.disk_hits),
+            ("misses", &mut self.misses),
+            ("disk_writes", &mut self.disk_writes),
+            ("mem_evictions", &mut self.mem_evictions),
+            ("mem_entries", &mut self.mem_entries),
+            ("coalesced", &mut self.coalesced),
+            ("warm_starts", &mut self.warm_starts),
+            ("disk_evictions", &mut self.disk_evictions),
+            ("admin_flushes", &mut self.admin_flushes),
+            ("admin_evictions", &mut self.admin_evictions),
+            ("errors", &mut self.errors),
+        ]
+    }
+}
+
 /// What [`ResultCache::store`] records beyond the payload bytes: the
 /// v2 header fields that make the entry usable as a warm-start donor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,17 +181,9 @@ pub struct ResultCache {
     disk_cap: Option<u64>,
     /// fnv64(canonical spec) → entries that can donate seeds for it.
     donors: HashMap<u64, Vec<Donor>>,
-    requests: u64,
-    mem_hits: u64,
-    disk_hits: u64,
-    misses: u64,
-    disk_writes: u64,
-    coalesced: u64,
-    warm_starts: u64,
-    disk_evictions: u64,
-    errors: u64,
-    admin_flushes: u64,
-    admin_evictions: u64,
+    /// Lifetime counters; `mem_evictions` and `mem_entries` stay 0 here
+    /// and are read off the memory tier by [`stats`](ResultCache::stats).
+    stats: CacheStats,
 }
 
 impl ResultCache {
@@ -190,17 +206,7 @@ impl ResultCache {
             disk: disk_dir.map(Path::to_path_buf),
             disk_cap: None,
             donors: HashMap::new(),
-            requests: 0,
-            mem_hits: 0,
-            disk_hits: 0,
-            misses: 0,
-            disk_writes: 0,
-            coalesced: 0,
-            warm_starts: 0,
-            disk_evictions: 0,
-            errors: 0,
-            admin_flushes: 0,
-            admin_evictions: 0,
+            stats: CacheStats::default(),
         };
         cache.scan_donors();
         Ok(cache)
@@ -274,9 +280,9 @@ impl ResultCache {
     /// deleted and treated as a miss. The caller is expected to run
     /// the engine and [`store`](ResultCache::store) the result.
     pub fn lookup(&mut self, key: u64) -> (Option<String>, CacheTier) {
-        self.requests += 1;
+        self.stats.requests += 1;
         if let Some(entry) = self.mem.get(&key) {
-            self.mem_hits += 1;
+            self.stats.mem_hits += 1;
             return (Some(entry.payload.clone()), CacheTier::Mem);
         }
         if let Some(dir) = self.disk.clone() {
@@ -284,7 +290,7 @@ impl ResultCache {
             match std::fs::read_to_string(&path) {
                 Ok(raw) => match parse_entry(&raw) {
                     Some((header, payload)) => {
-                        self.disk_hits += 1;
+                        self.stats.disk_hits += 1;
                         touch(&path);
                         let payload = payload.to_string();
                         self.mem.insert(
@@ -299,16 +305,16 @@ impl ResultCache {
                     None => {
                         // Empty, torn, or tampered with: never serve
                         // it — drop the file and recompute.
-                        self.errors += 1;
+                        self.stats.errors += 1;
                         let _ = std::fs::remove_file(&path);
                         self.forget_donor(key);
                     }
                 },
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(_) => self.errors += 1,
+                Err(_) => self.stats.errors += 1,
             }
         }
-        self.misses += 1;
+        self.stats.misses += 1;
         (None, CacheTier::Miss)
     }
 
@@ -336,11 +342,11 @@ impl ResultCache {
                 .and_then(|()| std::fs::rename(&tmp, Self::entry_path(&dir, key)));
             match result {
                 Ok(()) => {
-                    self.disk_writes += 1;
+                    self.stats.disk_writes += 1;
                     self.sweep_disk(&dir, key);
                 }
                 Err(_) => {
-                    self.errors += 1;
+                    self.stats.errors += 1;
                     let _ = std::fs::remove_file(&tmp);
                 }
             }
@@ -376,7 +382,7 @@ impl ResultCache {
             }
             if std::fs::remove_file(&path).is_ok() {
                 total = total.saturating_sub(len);
-                self.disk_evictions += 1;
+                self.stats.disk_evictions += 1;
                 self.forget_donor(key);
             }
         }
@@ -450,7 +456,7 @@ impl ResultCache {
             }
         }
         self.donors.clear();
-        self.admin_flushes += 1;
+        self.stats.admin_flushes += 1;
         (mem_dropped, disk_removed)
     }
 
@@ -464,7 +470,7 @@ impl ResultCache {
         }
         if removed {
             self.forget_donor(key);
-            self.admin_evictions += 1;
+            self.stats.admin_evictions += 1;
         }
         removed
     }
@@ -472,30 +478,20 @@ impl ResultCache {
     /// Counts one coalesced miss (a request that joined an in-flight
     /// engine run instead of starting its own).
     pub fn note_coalesced(&mut self) {
-        self.coalesced += 1;
+        self.stats.coalesced += 1;
     }
 
     /// Counts one warm-started engine run.
     pub fn note_warm_start(&mut self) {
-        self.warm_starts += 1;
+        self.stats.warm_starts += 1;
     }
 
     /// Snapshot of the lifetime counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            requests: self.requests,
-            mem_hits: self.mem_hits,
-            disk_hits: self.disk_hits,
-            misses: self.misses,
-            disk_writes: self.disk_writes,
             mem_evictions: self.mem.evicted(),
             mem_entries: self.mem.len() as u64,
-            coalesced: self.coalesced,
-            warm_starts: self.warm_starts,
-            disk_evictions: self.disk_evictions,
-            errors: self.errors,
-            admin_flushes: self.admin_flushes,
-            admin_evictions: self.admin_evictions,
+            ..self.stats
         }
     }
 }

@@ -282,25 +282,15 @@ impl Response {
                     json_escape(payload),
                 )
             }
-            Response::Stats(s) => format!(
-                "{{\"resp\":\"stats\",\"requests\":{},\"mem_hits\":{},\"disk_hits\":{},\
-                 \"misses\":{},\"disk_writes\":{},\"mem_evictions\":{},\"mem_entries\":{},\
-                 \"coalesced\":{},\"warm_starts\":{},\"disk_evictions\":{},\
-                 \"admin_flushes\":{},\"admin_evictions\":{},\"errors\":{}}}\n",
-                s.requests,
-                s.mem_hits,
-                s.disk_hits,
-                s.misses,
-                s.disk_writes,
-                s.mem_evictions,
-                s.mem_entries,
-                s.coalesced,
-                s.warm_starts,
-                s.disk_evictions,
-                s.admin_flushes,
-                s.admin_evictions,
-                s.errors,
-            ),
+            Response::Stats(s) => {
+                let mut s = *s;
+                let mut line = String::from("{\"resp\":\"stats\"");
+                for (name, value) in s.counters() {
+                    line.push_str(&format!(",\"{name}\":{value}"));
+                }
+                line.push_str("}\n");
+                line
+            }
             Response::Flushed { mem, disk } => {
                 format!("{{\"resp\":\"flushed\",\"mem\":{mem},\"disk\":{disk}}}\n")
             }
@@ -343,21 +333,10 @@ impl Response {
                 Ok(resp)
             }
             "stats" => {
-                let stats = CacheStats {
-                    requests: need_int(&mut fields, "requests")?,
-                    mem_hits: need_int(&mut fields, "mem_hits")?,
-                    disk_hits: need_int(&mut fields, "disk_hits")?,
-                    misses: need_int(&mut fields, "misses")?,
-                    disk_writes: need_int(&mut fields, "disk_writes")?,
-                    mem_evictions: need_int(&mut fields, "mem_evictions")?,
-                    mem_entries: need_int(&mut fields, "mem_entries")?,
-                    coalesced: need_int(&mut fields, "coalesced")?,
-                    warm_starts: need_int(&mut fields, "warm_starts")?,
-                    disk_evictions: need_int(&mut fields, "disk_evictions")?,
-                    admin_flushes: need_int(&mut fields, "admin_flushes")?,
-                    admin_evictions: need_int(&mut fields, "admin_evictions")?,
-                    errors: need_int(&mut fields, "errors")?,
-                };
+                let mut stats = CacheStats::default();
+                for (name, slot) in stats.counters() {
+                    *slot = need_int(&mut fields, name)?;
+                }
                 reject_unknown(&fields, "stats")?;
                 Ok(Response::Stats(stats))
             }
@@ -493,6 +472,30 @@ mod tests {
 
     #[test]
     fn responses_round_trip_through_render_and_parse() {
+        // Distinct values, so two swapped counters cannot round-trip
+        // unnoticed; the exact line pins the wire order.
+        let stats = CacheStats {
+            requests: 101,
+            mem_hits: 102,
+            disk_hits: 103,
+            misses: 104,
+            disk_writes: 105,
+            mem_evictions: 106,
+            mem_entries: 107,
+            coalesced: 108,
+            warm_starts: 109,
+            disk_evictions: 110,
+            errors: 111,
+            admin_flushes: 112,
+            admin_evictions: 113,
+        };
+        assert_eq!(
+            Response::Stats(stats).render(),
+            "{\"resp\":\"stats\",\"requests\":101,\"mem_hits\":102,\"disk_hits\":103,\
+             \"misses\":104,\"disk_writes\":105,\"mem_evictions\":106,\"mem_entries\":107,\
+             \"coalesced\":108,\"warm_starts\":109,\"disk_evictions\":110,\
+             \"admin_flushes\":112,\"admin_evictions\":113,\"errors\":111}\n"
+        );
         let resps = [
             Response::Result {
                 cache: "disk".to_string(),
@@ -514,21 +517,7 @@ mod tests {
                 misses: 3,
                 payload: "{}".to_string(),
             },
-            Response::Stats(CacheStats {
-                requests: 8,
-                mem_hits: 3,
-                disk_hits: 1,
-                misses: 4,
-                disk_writes: 4,
-                mem_evictions: 2,
-                mem_entries: 2,
-                coalesced: 3,
-                warm_starts: 1,
-                disk_evictions: 5,
-                admin_flushes: 1,
-                admin_evictions: 2,
-                errors: 0,
-            }),
+            Response::Stats(stats),
             Response::Flushed { mem: 4, disk: 9 },
             Response::Evicted { removed: true },
             Response::Evicted { removed: false },

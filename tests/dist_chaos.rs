@@ -7,7 +7,9 @@
 //! identical** to the fault-free run, every cell is emitted exactly
 //! once, and nothing hangs.
 
-use ftes::bench::dist::{run_dist_local, ChaosPlan, DistConfig, LocalWorkerSpec, WorkerOutcome};
+use ftes::bench::dist::{
+    run_dist_local, ChaosPlan, DistConfig, LocalWorkerSpec, RunOpts, WorkerOutcome,
+};
 use ftes::bench::{cell_json, run_cell_seeded, Strategy};
 use ftes::gen::{
     BusProfile, FaultLoad, GraphShape, Heterogeneity, MessageLoad, Scenario, ScenarioMatrix,
@@ -299,9 +301,14 @@ fn worker_that_dies_right_after_registering_hands_everything_back() {
         });
         let mut got: Vec<String> = Vec::new();
         let stats = coordinator
-            .run(&cells, &strats, ARC, CoreBudget::new(2), |_, p| {
-                got.push(p.to_string())
-            })
+            .run(
+                &cells,
+                &strats,
+                ARC,
+                CoreBudget::new(2),
+                RunOpts::default(),
+                |_, p| got.push(p.to_string()),
+            )
             .expect("run");
         (stats, got)
     });
@@ -337,9 +344,14 @@ fn mismatched_worker_is_rejected_not_fed_leases() {
         });
         let mut got: Vec<String> = Vec::new();
         let stats = coordinator
-            .run(&cells, &strats, ARC, CoreBudget::new(2), |_, p| {
-                got.push(p.to_string())
-            })
+            .run(
+                &cells,
+                &strats,
+                ARC,
+                CoreBudget::new(2),
+                RunOpts::default(),
+                |_, p| got.push(p.to_string()),
+            )
             .expect("run");
         (stats, handle.join().expect("worker thread"), got)
     });

@@ -152,7 +152,7 @@ fn coordinator_killed_mid_run_resumes_from_journal_without_recompute() {
         let journal =
             Journal::create(&journal_path, &fingerprint, ENGINE_VERSION, total).expect("create");
         let mut emitted1: Vec<(usize, String)> = Vec::new();
-        let life1 = coordinator.run_with(
+        let life1 = coordinator.run(
             &cells,
             &strats,
             ARC,
@@ -179,7 +179,7 @@ fn coordinator_killed_mid_run_resumes_from_journal_without_recompute() {
         let resumed = Coordinator::bind(&addr, cfg).expect("rebind life 2");
         let mut emitted2: Vec<(usize, String)> = Vec::new();
         let stats2 = resumed
-            .run_with(
+            .run(
                 &cells,
                 &strats,
                 ARC,
@@ -351,7 +351,7 @@ fn stale_epoch_results_are_dropped_not_double_emitted() {
         });
         let mut got: Vec<String> = Vec::new();
         let stats = coordinator
-            .run_with(
+            .run(
                 &cells,
                 &strats,
                 ARC,

@@ -143,7 +143,7 @@ fn streamed_document_equals_the_collected_report() {
         threads: Threads(4),
         ..MatrixRunConfig::default()
     };
-    let mut streamed = json_header(cfg.arc, None);
+    let mut streamed = json_header(cfg.arc, None, "");
     let mut first = true;
     run_cells_streaming(&cells, &[Strategy::Opt], &cfg, |_, cell| {
         if !first {
