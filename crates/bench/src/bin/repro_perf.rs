@@ -375,7 +375,6 @@ mod tests {
         let mut stats = ExplorationStats {
             architectures_evaluated: 1,
             architectures_pruned: 2,
-            warm_seeded: 3,
             ..ExplorationStats::default()
         };
         stats.eval.evaluations = 4;
@@ -400,8 +399,8 @@ mod tests {
                 "{key}"
             );
         }
-        // The object's own key, the two timings, the 14 counters.
-        assert_eq!(json.matches("\":").count(), 1 + 2 + 14, "{json}");
+        // The object's own key, the two timings, the 13 counters.
+        assert_eq!(json.matches("\":").count(), 1 + 2 + 13, "{json}");
     }
 
     #[test]

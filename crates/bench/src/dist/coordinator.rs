@@ -67,7 +67,7 @@ use super::protocol::{
     checksum, matrix_fingerprint, wake_listener, Frame, FrameReader, RecvError, PROTO_VERSION,
 };
 use super::{DistConfig, DistStats};
-use crate::matrix::{cell_json, run_cell_seeded};
+use crate::matrix::{cell_json, run_cell_budgeted};
 use crate::Strategy;
 
 /// Leases in flight per worker. Two keep a worker busy while its
@@ -542,7 +542,7 @@ pub(super) fn render_cell(
     budget: CoreBudget,
 ) -> String {
     cell_json(
-        &run_cell_seeded(scenario, strategies, budget, None).0,
+        &run_cell_budgeted(scenario, strategies, budget),
         arc,
         timings,
     )

@@ -12,11 +12,12 @@
 //! ## Record format
 //!
 //! Line-delimited flat JSON, read by the same strict parser as the wire
-//! protocol ([`parse_object`]): one record per `\n`-terminated line, no
-//! nesting, payloads travel as escaped strings, and a duplicate,
-//! unknown, missing or mistyped key makes the record bad. Every record
-//! ends in a `crc` field holding the FNV-1a-64 checksum (lowercase hex,
-//! [`checksum`]) of everything before `,"crc":` on that line:
+//! protocol: one record per `\n`-terminated line, no nesting, payloads
+//! travel as escaped strings, and a duplicate, unknown, missing or
+//! mistyped key makes the record bad. Every record is a [`seal`]ed line:
+//! it ends in a `crc` field holding the FNV-1a-64 checksum (lowercase
+//! hex) of everything before `,"crc":` on that line, which [`unseal`]
+//! verifies:
 //!
 //! ```text
 //! {"journal":"repro_matrix","v":1,"fingerprint":"<hex>","engine":1,"cells":16,"crc":"<hex>"}
@@ -47,21 +48,26 @@
 //!
 //! ## One record format for cell results
 //!
-//! The journal is the only on-disk form of cell results. A coordinator
-//! run (`--journal`) writes one journal holding every cell; a
-//! `repro_matrix --shard I/N` run writes a journal under the same
+//! The journal is the only on-disk form of a matrix's cell results. A
+//! coordinator run (`--journal`) writes one journal holding every cell;
+//! a `repro_matrix --shard I/N` run writes a journal under the same
 //! header that holds only the cells of its stride. [`load_journals`]
 //! replays any set of such journals of one sweep into the full payload
 //! list: it is how `--merge` joins shard journals and how a coordinator
 //! assembles its document, and it refuses a union that overlaps or
 //! leaves a gap.
+//!
+//! The result cache of `ftes-server` stores each of its disk entries as
+//! one sealed line too: the request's goal, ArC and canonical spec, the
+//! escaped payload, then the `crc`. [`seal`] and [`unseal`] are the one
+//! codec both use.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 
 use super::protocol::{
-    checksum, json_escape, need_int, need_str, parse_object, reject_unknown, take_int, take_str,
+    json_escape, need_int, need_str, reject_unknown, seal, take_int, take_str, unseal,
 };
 
 /// Journal format version; bumped on any incompatible record change.
@@ -85,12 +91,6 @@ pub struct JournalReplay {
 pub struct Journal {
     file: File,
     path: String,
-}
-
-/// Renders one record line: `body` (an unclosed flat JSON object) plus
-/// its checksum field and the closing brace.
-fn seal(body: &str) -> String {
-    format!("{body},\"crc\":\"{}\"}}\n", checksum(body))
 }
 
 fn header_body(fingerprint: &str, engine: u32, cells: usize) -> String {
@@ -214,16 +214,7 @@ enum Record {
 /// Parses and checksum-verifies one record line (without its trailing
 /// newline). Any error here on the *final* line means a torn tail.
 fn parse_record(line: &str) -> Result<Record, String> {
-    let mut fields = parse_object(line)?;
-    let crc = need_str(&mut fields, "crc")?;
-    let body = line
-        .strip_suffix("\"}")
-        .and_then(|l| l.strip_suffix(crc.as_str()))
-        .and_then(|l| l.strip_suffix(",\"crc\":\""))
-        .ok_or("crc is not the last field")?;
-    if crc != checksum(body) {
-        return Err("record checksum mismatch".to_string());
-    }
+    let mut fields = unseal(line)?;
     let record = if let Some(kind) = take_str(&mut fields, "journal")? {
         if kind != "repro_matrix" {
             return Err(format!("unknown journal kind {kind:?}"));

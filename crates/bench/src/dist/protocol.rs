@@ -430,6 +430,38 @@ pub fn checksum(payload: &str) -> String {
     format!("{:016x}", fnv64(payload.as_bytes()))
 }
 
+/// Closes one record line: `body`, a flat JSON object without its
+/// closing brace, gets a last `crc` field holding the [`checksum`] of
+/// `body`, then the brace and a `\n`. Journal records and result-cache
+/// entries are sealed lines.
+pub fn seal(body: &str) -> String {
+    format!("{body},\"crc\":\"{}\"}}\n", checksum(body))
+}
+
+/// Parses one [`seal`]ed line (with or without its `\n`) and verifies
+/// it: the `crc` field must be the last one and must match everything
+/// before `,"crc":`. Returns the other fields for the typed
+/// `take_*`/`need_*` helpers.
+///
+/// # Errors
+///
+/// Returns a one-line description when the line is not a flat object,
+/// its `crc` is missing or not last, or the checksum does not match.
+pub fn unseal(line: &str) -> Result<Fields, String> {
+    let line = line.strip_suffix('\n').unwrap_or(line);
+    let mut fields = parse_object(line)?;
+    let crc = need_str(&mut fields, "crc")?;
+    let body = line
+        .strip_suffix("\"}")
+        .and_then(|l| l.strip_suffix(crc.as_str()))
+        .and_then(|l| l.strip_suffix(",\"crc\":\""))
+        .ok_or("crc is not the last field")?;
+    if crc != checksum(body) {
+        return Err("record checksum mismatch".to_string());
+    }
+    Ok(fields)
+}
+
 /// Fingerprint of everything a lease's `cell` index implies: the ordered
 /// cell labels, the strategy set, the acceptance threshold and whether
 /// payloads include wall-clock timings. Coordinator and worker compute

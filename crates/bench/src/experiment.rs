@@ -13,7 +13,7 @@
 use ftes_gen::{generate_instance, ExperimentConfig};
 use ftes_model::Cost;
 use ftes_opt::{
-    design_strategy, CoreBudget, DesignOutcome, HardeningPolicy, OptConfig, TabuConfig, WarmStart,
+    design_strategy, CoreBudget, DesignOutcome, HardeningPolicy, OptConfig, TabuConfig,
 };
 use ftes_sfp::Rounding;
 use serde::{Deserialize, Serialize};
@@ -103,19 +103,11 @@ impl ConditionResult {
 /// counters included, are identical for any budget, so any consumer —
 /// [`run_condition`], the scenario-matrix runner — gets deterministic
 /// results for a deterministic generator.
-///
-/// `seeds` is an optional per-application [`WarmStart`] slice (index =
-/// application index): application `i` seeds its design exploration from
-/// `seeds[i]` when one is present and validates against the generated
-/// system. Seeds only redirect each tabu search's start, so a seeded run
-/// explores the same design space — `None` (or an all-`None` slice) is
-/// exactly the cold path.
 pub fn run_strategy_over<F>(
     generate: F,
     n_apps: usize,
     strategy: Strategy,
     budget: CoreBudget,
-    seeds: Option<&[Option<WarmStart>]>,
 ) -> Vec<Option<DesignOutcome>>
 where
     F: Fn(u64) -> ftes_model::System + Sync,
@@ -135,12 +127,7 @@ where
                     break;
                 }
                 let system = generate(i as u64);
-                let warm_start = seeds.and_then(|s| s.get(i).cloned().flatten());
-                let cfg = OptConfig {
-                    warm_start,
-                    ..opt_cfg.clone()
-                };
-                let outcome = design_strategy(&system, &cfg)
+                let outcome = design_strategy(&system, opt_cfg)
                     .expect("synthetic systems are structurally valid");
                 *slots[i].lock().unwrap() = Some(outcome);
             });
@@ -164,7 +151,6 @@ pub fn run_condition(
         n_apps,
         strategy,
         CoreBudget::available(),
-        None,
     );
     ConditionResult {
         best_cost: outcomes
@@ -263,7 +249,6 @@ mod tests {
                     1,
                     Strategy::Opt,
                     CoreBudget::new(cores),
-                    None,
                 )
             };
             let (one, two) = (run(1), run(2));

@@ -50,7 +50,7 @@ pub use experiment::{
 };
 pub use figures::{cruise_controller, fig6a, fig6b, fig6c, fig6d, CcOutcome};
 pub use matrix::{
-    cell_json, json_footer, json_header, render_table_row, run_cell_seeded, run_cells,
-    run_cells_streaming, run_matrix, BenchMeta, CellResult, CellSeeds, MatrixReport,
-    MatrixRunConfig, Shard, StrategyCell,
+    cell_json, json_footer, json_header, render_table_row, run_cell_budgeted, run_cells,
+    run_cells_streaming, run_matrix, BenchMeta, CellResult, MatrixReport, MatrixRunConfig, Shard,
+    StrategyCell,
 };

@@ -33,7 +33,7 @@ use std::sync::{Condvar, Mutex};
 
 use ftes_gen::{Scenario, ScenarioMatrix};
 use ftes_model::Cost;
-use ftes_opt::{CoreBudget, Threads, WarmStart};
+use ftes_opt::{CoreBudget, Threads};
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::{run_strategy_over, Strategy};
@@ -181,77 +181,25 @@ impl MatrixRunConfig {
     }
 }
 
-/// The winning design points of one cell run, per strategy and
-/// application — everything a later run on the *same scenario* needs to
-/// warm-start its tabu searches (the `ftes-server` result cache stores
-/// one of these alongside each rendered payload).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CellSeeds {
-    /// One `(strategy, per-application seed)` row per strategy run, in
-    /// request order. `None` = that application had no feasible solution.
-    pub strategies: Vec<(Strategy, Vec<Option<WarmStart>>)>,
-}
+/// Empty. Kept only because the benchmark package (`perfbench/`) links
+/// this name.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct CellSeeds {}
 
-impl CellSeeds {
-    /// The per-application seeds to warm-start `strategy` with: the same
-    /// strategy's winners when the donor ran it, else the donor's first
-    /// strategy row — a mapping is a mapping; the exploration re-derives
-    /// hardening and re-execution under its own policy, so any donor
-    /// strategy's design point is a valid start for any other.
-    pub fn for_strategy(&self, strategy: Strategy) -> Option<&[Option<WarmStart>]> {
-        self.strategies
-            .iter()
-            .find(|(s, _)| *s == strategy)
-            .or_else(|| self.strategies.first())
-            .map(|(_, seeds)| seeds.as_slice())
-    }
-
-    /// How many concrete (non-`None`) seeds this set carries.
-    pub fn seed_count(&self) -> usize {
-        self.strategies
-            .iter()
-            .map(|(_, seeds)| seeds.iter().flatten().count())
-            .sum()
-    }
-}
-
-/// The donor design point of one finished exploration: the winning node
-/// types in slot order plus the process-to-node mapping.
-fn warm_start_of(solution: &ftes_opt::Solution) -> WarmStart {
-    WarmStart {
-        types: solution
-            .architecture
-            .node_ids()
-            .map(|n| solution.architecture.node_type(n))
-            .collect(),
-        mapping: solution.mapping.as_slice().to_vec(),
-    }
-}
-
-/// Runs every requested strategy over one cell within a [`CoreBudget`].
-///
-/// With a warm-start `donor`, each strategy's tabu searches seed from the
-/// donor's design points ([`CellSeeds::for_strategy`]); a `None` donor is
-/// exactly the cold path. The cell's own winners are returned alongside
-/// the result for the caller to cache as a future donor.
-pub fn run_cell_seeded(
+/// Runs every requested strategy over one cell within a [`CoreBudget`]:
+/// the one cell entry of the streaming runner, the distributed runner
+/// and `ftes-server`. Every run is cold, so the result is a
+/// function of the scenario and the strategies alone.
+pub fn run_cell_budgeted(
     scenario: &Scenario,
     strategies: &[Strategy],
     budget: CoreBudget,
-    donor: Option<&CellSeeds>,
-) -> (CellResult, CellSeeds) {
+) -> CellResult {
     let mut rows = Vec::with_capacity(strategies.len());
-    let mut winners = CellSeeds::default();
     for &strategy in strategies {
-        let seeds = donor.and_then(|d| d.for_strategy(strategy));
         let start = std::time::Instant::now();
-        let outcomes = run_strategy_over(
-            |i| scenario.generate(i),
-            scenario.apps,
-            strategy,
-            budget,
-            seeds,
-        );
+        let outcomes = run_strategy_over(|i| scenario.generate(i), scenario.apps, strategy, budget);
         let wall_seconds = start.elapsed().as_secs_f64();
         rows.push(StrategyCell {
             strategy,
@@ -265,37 +213,18 @@ pub fn run_cell_seeded(
                 .collect(),
             wall_seconds,
         });
-        let won = outcomes
-            .iter()
-            .map(|o| o.as_ref().map(|o| warm_start_of(&o.solution)))
-            .collect();
-        winners.strategies.push((strategy, won));
     }
-    (
-        CellResult {
-            scenario: scenario.clone(),
-            strategies: rows,
-        },
-        winners,
-    )
+    CellResult {
+        scenario: scenario.clone(),
+        strategies: rows,
+    }
 }
 
-/// [`run_cell_seeded`] cold, without the winners. Kept only because the
+/// [`run_cell_budgeted`] on the full core budget. Kept only because the
 /// benchmark package (`perfbench/`) links this name.
 #[doc(hidden)]
-pub fn run_cell_budgeted(
-    scenario: &Scenario,
-    strategies: &[Strategy],
-    budget: CoreBudget,
-) -> CellResult {
-    run_cell_seeded(scenario, strategies, budget, None).0
-}
-
-/// [`run_cell_seeded`] cold on the full core budget. Kept only because
-/// the benchmark package (`perfbench/`) links this name.
-#[doc(hidden)]
 pub fn run_cell(scenario: &Scenario, strategies: &[Strategy]) -> CellResult {
-    run_cell_seeded(scenario, strategies, CoreBudget::available(), None).0
+    run_cell_budgeted(scenario, strategies, CoreBudget::available())
 }
 
 /// Shared state of the streaming pool: the claim cursor, the emit cursor,
@@ -376,7 +305,7 @@ pub fn run_cells_streaming<F>(
     if workers <= 1 {
         // Sequential reference path: claim, run and emit in order.
         for (i, scenario) in selected.iter().enumerate() {
-            emit(i, run_cell_seeded(scenario, strategies, budget, None).0);
+            emit(i, run_cell_budgeted(scenario, strategies, budget));
         }
         return;
     }
@@ -414,7 +343,7 @@ pub fn run_cells_streaming<F>(
                         st.claimed += 1;
                         st.claimed - 1
                     };
-                    let (result, _) = run_cell_seeded(selected[i], strategies, per_cell, None);
+                    let result = run_cell_budgeted(selected[i], strategies, per_cell);
                     let mut st = state.lock().unwrap();
                     st.done.insert(i, result);
                     drop(st);
@@ -686,49 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_seeds_prefer_same_strategy_then_fall_back_to_first() {
-        let opt_seed = WarmStart {
-            types: vec![ftes_model::NodeTypeId::new(1)],
-            mapping: vec![ftes_model::NodeId::new(0)],
-        };
-        let seeds = CellSeeds {
-            strategies: vec![
-                (Strategy::Max, vec![None]),
-                (Strategy::Opt, vec![Some(opt_seed.clone())]),
-            ],
-        };
-        assert_eq!(
-            seeds.for_strategy(Strategy::Opt),
-            Some(&[Some(opt_seed)][..])
-        );
-        // No MIN row: any donor design point is a valid start, so the
-        // first row stands in.
-        assert_eq!(seeds.for_strategy(Strategy::Min), Some(&[None][..]));
-        assert_eq!(seeds.seed_count(), 1);
-        assert_eq!(CellSeeds::default().for_strategy(Strategy::Opt), None);
-    }
-
-    #[test]
-    fn seeded_cell_run_matches_cold_and_returns_reusable_winners() {
-        let scenario = tiny_cell();
-        let budget = CoreBudget::new(2);
-        let (cold, winners) = run_cell_seeded(&scenario, &[Strategy::Opt], budget, None);
-        assert!(winners.seed_count() > 0, "tiny cell should find solutions");
-        // Re-seeding redirects each tabu start, so the warm run may land
-        // on a *different* equal-cost design point — but it explores the
-        // same architecture walk, so feasibility and best cost per app
-        // are unchanged when seeded with the cell's own winners.
-        let (warm, _) = run_cell_seeded(&scenario, &[Strategy::Opt], budget, Some(&winners));
-        for (w, c) in warm.strategies.iter().zip(&cold.strategies) {
-            assert_eq!(w.strategy, c.strategy);
-            assert_eq!(w.best_cost, c.best_cost);
-            for (ws, cs) in w.schedule_len_us.iter().zip(&c.schedule_len_us) {
-                assert_eq!(ws.is_some(), cs.is_some());
-            }
-        }
-    }
-
-    #[test]
     fn acceptance_and_mean_cost_derive_from_per_app_costs() {
         let row = StrategyCell {
             strategy: Strategy::Opt,
@@ -754,7 +640,7 @@ mod tests {
         // The (Ideal, Mild, Relaxed) cell is exactly the Fig. 6 default
         // condition: the matrix runner must reproduce run_condition's costs.
         let scenario = tiny_cell();
-        let (cell, _) = run_cell_seeded(&scenario, &[Strategy::Opt], CoreBudget::available(), None);
+        let cell = run_cell_budgeted(&scenario, &[Strategy::Opt], CoreBudget::available());
         let cell = &cell.strategies[0];
         let reference = crate::experiment::run_condition(
             &ftes_gen::ExperimentConfig::default(),
@@ -773,9 +659,11 @@ mod tests {
     fn golden_json_is_deterministic_and_timing_free() {
         let scenario = tiny_cell();
         let run = || MatrixReport {
-            cells: vec![
-                run_cell_seeded(&scenario, &[Strategy::Opt], CoreBudget::available(), None).0,
-            ],
+            cells: vec![run_cell_budgeted(
+                &scenario,
+                &[Strategy::Opt],
+                CoreBudget::available(),
+            )],
             arc: Cost::new(20),
         };
         let (report, again) = (run(), run());
@@ -929,7 +817,6 @@ mod tests {
                             2,
                             Strategy::Min,
                             per_cell,
-                            None,
                         );
                     }
                 });

@@ -1,6 +1,5 @@
 //! Configuration of the design optimization heuristics.
 
-use ftes_model::{NodeId, NodeTypeId};
 use ftes_sfp::Rounding;
 use serde::{Deserialize, Serialize};
 
@@ -162,28 +161,6 @@ impl Default for CoreBudget {
     }
 }
 
-/// A donor design point seeding a warm-started exploration: the node
-/// types of the winning architecture plus its process-to-node mapping,
-/// as produced by an earlier run on the *same* application (e.g. a
-/// cached near-miss result in `ftes-server`).
-///
-/// Hardening levels and re-execution budgets are deliberately absent:
-/// the exploration re-derives both under its own policy, so a seed from
-/// any strategy (MIN/MAX/OPT) is valid for any other — a mapping is a
-/// mapping. The seed is validated against the actual system before use
-/// ([`design_strategy`](crate::design_strategy) ignores seeds whose
-/// mapping length, node-type ids or support sets do not fit) and only
-/// redirects the tabu search's *start*: the architecture walk itself is
-/// unchanged, so a warm-started run explores the same design space and
-/// its solution passes the same analytic verification as a cold one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WarmStart {
-    /// Node types of the donor architecture, in slot order.
-    pub types: Vec<NodeTypeId>,
-    /// Donor process-to-node mapping (index = process index).
-    pub mapping: Vec<NodeId>,
-}
-
 /// Configuration shared by all optimization entry points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct OptConfig {
@@ -202,11 +179,6 @@ pub struct OptConfig {
     /// `MemoCap(0)` disables memoization — the unmemoized reference
     /// path).
     pub mapping_memo: MemoCap,
-    /// Optional donor design point: when it validates against the
-    /// system, the tabu search of the matching architecture seeds from
-    /// the donor's mapping instead of the greedy heuristic start (see
-    /// [`WarmStart`]). `None` (the default) is the cold path.
-    pub warm_start: Option<WarmStart>,
 }
 
 /// Newtype holding the re-execution cap with a sensible default.
@@ -245,7 +217,6 @@ mod tests {
         assert!(cfg.tabu.max_iterations >= cfg.tabu.max_no_improve);
         assert_eq!(cfg.eval_mode, EvalMode::Incremental);
         assert_eq!(cfg.mapping_memo, MemoCap(4096));
-        assert_eq!(cfg.warm_start, None);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 
 use std::sync::Arc;
 
-use ftes_model::{Architecture, Cost, Mapping, ModelError, NodeTypeId, System};
+use ftes_model::{Architecture, Cost, ModelError, NodeTypeId, System};
 use serde::{Deserialize, Serialize};
 
 use crate::arch_iter::architectures_with_n_nodes;
-use crate::config::{Objective, OptConfig, WarmStart};
+use crate::config::{Objective, OptConfig};
 use crate::evaluation::Solution;
 use crate::incremental::{Candidate, EvalStats};
 use crate::search::Search;
@@ -34,10 +34,6 @@ pub struct ExplorationStats {
     /// Always 1: the walk runs sequentially on the calling thread. Kept
     /// so readers of the counter set keep compiling.
     pub worker_threads: u32,
-    /// Architectures whose tabu search was seeded from a validated
-    /// [`WarmStart`] donor (0 on cold runs and when the seed failed
-    /// validation or its architecture was never walked).
-    pub warm_seeded: u32,
     /// Candidate-evaluation counters of the incremental engine. Like the
     /// architecture counters they are a deterministic function of the
     /// system and the configuration.
@@ -52,7 +48,6 @@ impl ExplorationStats {
         [
             ("architectures_evaluated", self.architectures_evaluated),
             ("architectures_pruned", self.architectures_pruned),
-            ("warm_seeded", self.warm_seeded),
         ]
         .map(|(name, value)| (name, u64::from(value)))
         .into_iter()
@@ -120,10 +115,6 @@ pub fn design_strategy(
     let platform = system.platform();
     // Up to one node per platform node type, the paper's `|N|`.
     let max_nodes = platform.node_type_count().max(1);
-    let warm = config
-        .warm_start
-        .as_ref()
-        .and_then(|seed| validated_warm_start(system, seed));
 
     let mut best: Option<Arc<Candidate>> = None;
     let mut stats = ExplorationStats {
@@ -142,13 +133,6 @@ pub fn design_strategy(
             .iter()
             .map(|types| Architecture::with_min_hardening(types).cost(platform))
             .collect::<Result<_, _>>()?;
-        // The donor seed redirects exactly one tabu start: the slot of
-        // this node count whose types equal the donor architecture's (the
-        // walk itself — order, pruning, acceptance — is unchanged).
-        let seeded_slot = warm
-            .as_ref()
-            .filter(|(types, _)| types.len() == n)
-            .and_then(|(types, mapping)| Some((archs.iter().position(|a| a == types)?, mapping)));
 
         let mut advance_n = false;
         let mut evaluated_this_n = 0u32;
@@ -162,11 +146,7 @@ pub fn design_strategy(
             }
             stats.architectures_evaluated += 1;
             evaluated_this_n += 1;
-            let seed = seeded_slot.and_then(|(si, mapping)| (si == i).then_some(mapping));
-            if seed.is_some() {
-                stats.warm_seeded += 1;
-            }
-            match explore_one(&mut search, types, seed)? {
+            match explore_one(&mut search, types)? {
                 ArchOutcome::Unschedulable => {
                     // Line 15: not schedulable even at the best mapping —
                     // more computation nodes are needed. The remaining
@@ -210,38 +190,10 @@ pub fn design_strategy(
     Ok(best.map(|solution| DesignOutcome { solution, stats }))
 }
 
-/// Validates a [`WarmStart`] against the system the exploration runs on:
-/// the donor types must exist on the platform, the mapping must cover
-/// every process, point into the donor's slots and respect the support
-/// sets. Seeds that do not fit are silently ignored — a warm start is an
-/// accelerator, never a correctness input.
-fn validated_warm_start(system: &System, seed: &WarmStart) -> Option<(Vec<NodeTypeId>, Mapping)> {
-    let platform = system.platform();
-    let timing = system.timing();
-    let app = system.application();
-    if seed.types.is_empty()
-        || seed.mapping.len() != app.process_count()
-        || seed
-            .types
-            .iter()
-            .any(|ty| ty.index() >= platform.node_type_count())
-    {
-        return None;
-    }
-    for (p_idx, node) in seed.mapping.iter().enumerate() {
-        let ty = *seed.types.get(node.index())?;
-        if !timing.supports(ftes_model::ProcessId::new(p_idx as u32), ty) {
-            return None;
-        }
-    }
-    Some((seed.types.clone(), Mapping::new(seed.mapping.clone())))
-}
-
 /// Runs the Fig. 5 inner loop (lines 7–13) for one architecture — for
 /// the design strategy's walk and for
 /// [`optimize_fixed_architecture`](crate::optimize_fixed_architecture).
-/// `seed`, when present, replaces the greedy initial mapping of the
-/// schedule-length tabu pass with a validated warm-start donor mapping.
+/// The schedule-length tabu pass starts from the greedy initial mapping.
 ///
 /// A returned candidate is always schedulable: the cost pass starts from
 /// the schedulable schedule-length winner and only replaces its best on
@@ -250,12 +202,10 @@ fn validated_warm_start(system: &System, seed: &WarmStart) -> Option<(Vec<NodeTy
 pub(crate) fn explore_one(
     search: &mut Search<'_>,
     types: &[NodeTypeId],
-    seed: Option<&Mapping>,
 ) -> Result<ArchOutcome, ModelError> {
     let base = Architecture::with_min_hardening(types);
     // Line 7: shortest schedule for the best mapping.
-    let Some(sl_out) =
-        search.mapping_algorithm(&base, Objective::ScheduleLength, seed.cloned(), None)?
+    let Some(sl_out) = search.mapping_algorithm(&base, Objective::ScheduleLength, None, None)?
     else {
         return Ok(ArchOutcome::Evaluated(None)); // reliability goal unreachable
     };
@@ -383,102 +333,6 @@ mod tests {
         // With Cbest = 72 found on two nodes, the pure-N2 pair (min cost
         // 2×20 = 40) is still evaluated but nothing above 72 is.
         assert!(out.stats.architectures_evaluated + out.stats.architectures_pruned >= 3);
-    }
-
-    /// The donor design point of a finished run, as the server's cache
-    /// would record it.
-    fn warm_start_of(sol: &Solution) -> WarmStart {
-        WarmStart {
-            types: sol
-                .architecture
-                .node_ids()
-                .map(|n| sol.architecture.node_type(n))
-                .collect(),
-            mapping: sol.mapping.as_slice().to_vec(),
-        }
-    }
-
-    #[test]
-    fn warm_started_search_seeds_the_donor_and_stays_verified() {
-        let sys = paper::fig1_system();
-        let cold = design_strategy(&sys, &OptConfig::default())
-            .unwrap()
-            .expect("feasible");
-        assert_eq!(cold.stats.warm_seeded, 0, "cold runs never seed");
-        let config = OptConfig {
-            warm_start: Some(warm_start_of(&cold.solution)),
-            ..OptConfig::default()
-        };
-        let warm = design_strategy(&sys, &config).unwrap().expect("feasible");
-        assert_eq!(
-            warm.stats.warm_seeded, 1,
-            "the donor architecture's tabu search must be seeded once"
-        );
-        // The warm-started winner passes the same analytic verification
-        // as a cold one — seeding only moves the search's start.
-        let sol = &warm.solution;
-        assert!(sol.is_schedulable());
-        assert!(sol.cost <= Cost::new(72));
-        let sfp = ftes_sfp::analyze(
-            sys.application(),
-            sys.timing(),
-            &sol.architecture,
-            &sol.mapping,
-            &sol.ks,
-            sys.goal(),
-            ftes_sfp::Rounding::Pessimistic,
-        )
-        .unwrap();
-        assert!(sfp.meets_goal);
-        // Seeding with the run's own winner reproduces it exactly.
-        assert_eq!(warm.solution, cold.solution);
-    }
-
-    #[test]
-    fn invalid_warm_starts_are_ignored_not_applied() {
-        let sys = paper::fig1_system();
-        let cold = design_strategy(&sys, &OptConfig::default())
-            .unwrap()
-            .expect("feasible");
-        let good = warm_start_of(&cold.solution);
-        let broken = [
-            // Mapping shorter than the process count.
-            WarmStart {
-                mapping: good.mapping[..good.mapping.len() - 1].to_vec(),
-                ..good.clone()
-            },
-            // Node-type id past the platform.
-            WarmStart {
-                types: vec![ftes_model::NodeTypeId::new(99); good.types.len()],
-                ..good.clone()
-            },
-            // Mapping pointing past the donor's slots.
-            WarmStart {
-                mapping: vec![NodeId::new(17); good.mapping.len()],
-                ..good.clone()
-            },
-            // No slots at all.
-            WarmStart {
-                types: Vec::new(),
-                mapping: Vec::new(),
-            },
-        ];
-        for seed in broken {
-            let out = design_strategy(
-                &sys,
-                &OptConfig {
-                    warm_start: Some(seed.clone()),
-                    ..OptConfig::default()
-                },
-            )
-            .unwrap()
-            .expect("feasible");
-            assert_eq!(out.stats.warm_seeded, 0, "seed {seed:?} applied");
-            assert_eq!(
-                out.solution, cold.solution,
-                "seed {seed:?} changed the result"
-            );
-        }
     }
 
     #[test]

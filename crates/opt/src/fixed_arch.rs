@@ -43,7 +43,7 @@ pub fn optimize_fixed_architecture(
     types: &[NodeTypeId],
     config: &OptConfig,
 ) -> Result<Option<Solution>, ModelError> {
-    match explore_one(&mut Search::new(system, config), types, None)? {
+    match explore_one(&mut Search::new(system, config), types)? {
         // Materialize the winner's schedule through the specification path.
         ArchOutcome::Evaluated(Some(candidate)) => Ok(Some(candidate.materialize(system)?)),
         ArchOutcome::Evaluated(None) | ArchOutcome::Unschedulable => Ok(None),

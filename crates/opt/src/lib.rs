@@ -62,8 +62,7 @@ mod search;
 
 pub use arch_iter::architectures_with_n_nodes;
 pub use config::{
-    CoreBudget, EvalMode, HardeningPolicy, MaxK, MemoCap, Objective, OptConfig, TabuConfig,
-    Threads, WarmStart,
+    CoreBudget, EvalMode, HardeningPolicy, MaxK, MemoCap, Objective, OptConfig, TabuConfig, Threads,
 };
 pub use design_strategy::{design_strategy, DesignOutcome, ExplorationStats};
 pub use evaluation::{evaluate_fixed, Solution};

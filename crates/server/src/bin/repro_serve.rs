@@ -20,9 +20,8 @@
 //!
 //! Client mode sends one request and prints the response: for an
 //! `optimize`, one metadata line on stdout
-//! (`cache=<mem|disk|miss|warm|coalesced> key=<16 hex> engine_ms=<N> ...`,
-//! plus `donor=<16 hex>` on a warm start) and the
-//! payload to `--out PATH` (or stdout when no `--out` is given) — CI
+//! (`cache=<mem|disk|miss|coalesced> key=<16 hex> engine_ms=<N> ...`)
+//! and the payload to `--out PATH` (or stdout when no `--out` is given) — CI
 //! greps the metadata and byte-compares the payloads. `--stats` prints
 //! the counters on one `name=value` line in the `stats` response's
 //! order, then the derived `engine_runs = misses - coalesced` (actual
@@ -326,15 +325,14 @@ fn run_client(addr_spec: &str, action: ClientAction, out: Option<&str>) -> ! {
             cache,
             key,
             engine_ms,
-            donor,
             mem_hits,
             disk_hits,
             misses,
             payload,
+            ..
         } => {
-            let donor = donor.map(|d| format!(" donor={d}")).unwrap_or_default();
             println!(
-                "cache={cache} key={key} engine_ms={engine_ms}{donor} \
+                "cache={cache} key={key} engine_ms={engine_ms} \
                  mem_hits={mem_hits} disk_hits={disk_hits} misses={misses}"
             );
             match out {
@@ -418,16 +416,16 @@ mod tests {
             mem_evictions: 1,
             mem_entries: 8,
             coalesced: 4,
-            warm_starts: 5,
             disk_evictions: 6,
             errors: 7,
             admin_flushes: 10,
             admin_evictions: 11,
+            ..CacheStats::default()
         };
         assert_eq!(
             stats_line(stats),
             "requests=20 mem_hits=3 disk_hits=2 misses=15 disk_writes=9 mem_evictions=1 \
-             mem_entries=8 coalesced=4 warm_starts=5 disk_evictions=6 admin_flushes=10 \
+             mem_entries=8 coalesced=4 disk_evictions=6 admin_flushes=10 \
              admin_evictions=11 errors=7 engine_runs=11"
         );
     }

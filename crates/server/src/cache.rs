@@ -1,13 +1,13 @@
 //! The two-tier result cache: segmented-LRU memory front over a disk
-//! filecache, with solution-bearing entries and a per-scenario donor
-//! index for warm starts.
+//! filecache of checksummed entries, each bound to its key.
 //!
 //! Keys are content addresses: the FNV-1a hash of the canonical
 //! scenario spec, the goal, the acceptance threshold and the engine
 //! version ([`cache_key`]). The canonical spec makes the address
 //! insensitive to request formatting (field order, whitespace); the
 //! engine version makes a deployed engine change miss instead of
-//! serving stale results.
+//! serving stale results. The payload for a key is a function of the key
+//! alone: every miss runs the engine cold.
 //!
 //! The memory tier is the same [`SlruCache`] the tabu search memoizes
 //! with — bounded, O(1), recently-used entries guaranteed resident. The
@@ -21,33 +21,32 @@
 //!
 //! # Entry format
 //!
-//! A **v2** entry is one flat-JSON header line followed by the raw
-//! payload bytes, verbatim:
+//! A disk entry is one line in the write-ahead journal's record codec
+//! ([`seal`]/[`unseal`]): the request the payload answers, the escaped
+//! payload, then the checksum of everything before it:
 //!
 //! ```text
-//! {"v":2,"goal":"opt","arc":20,"spec":"<escaped canonical spec>","seeds":"<escaped seed codec>"}
-//! <rendered cell JSON>
+//! {"goal":"opt","arc":20,"spec":"<escaped canonical spec>","payload":"<escaped cell JSON>","crc":"<16 hex>"}
 //! ```
 //!
-//! The header carries what a *different* request on the same scenario
-//! needs to warm-start from this entry: the canonical spec (donor
-//! index), the goal and ArC (donor ranking) and the winning design
-//! points ([`CellSeeds`], encoded by `encode_seeds`).
-//!
-//! Entries are validated on read: an empty or structurally truncated
-//! entry (external tampering, disk-full artifact), an unknown version
-//! or a headerless file — such as a bare-payload v1 entry from before
-//! the header existed — is counted as an error, deleted, and the lookup
-//! falls through to a miss. A torn file must never be served as a hit.
+//! A disk read is served only when the checksum matches and
+//! `cache_key(spec, goal, arc, ENGINE_VERSION)` equals the key the file
+//! is named after. Anything else is a corrupt entry: an empty or torn
+//! file, a changed byte, a valid entry copied under another key's name,
+//! or a file in an older format (the bare-payload v1 and the
+//! header-line v2 entries). A corrupt entry is counted as an error,
+//! deleted, and the lookup falls through to a miss; it is never served.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
-use ftes_bench::dist::protocol::{fnv64, json_escape, parse_object, take_int, take_str};
-use ftes_bench::{CellSeeds, Strategy};
-use ftes_model::{NodeId, NodeTypeId};
-use ftes_opt::{SlruCache, WarmStart};
+use ftes_bench::dist::protocol::{
+    fnv64, json_escape, need_int, need_str, reject_unknown, seal, unseal,
+};
+use ftes_bench::matrix::CellSeeds;
+use ftes_opt::SlruCache;
+
+use crate::ENGINE_VERSION;
 
 /// Content address of one result: FNV-1a over the canonical scenario
 /// spec plus everything else that determines the payload bytes — the
@@ -102,7 +101,9 @@ pub struct CacheStats {
     /// Misses answered by joining another request's in-flight engine
     /// run instead of running the engine again.
     pub coalesced: u64,
-    /// Engine runs seeded from a near-miss donor entry.
+    /// Always 0 and not listed in [`counters`](CacheStats::counters).
+    /// Kept only because the benchmark package (`perfbench/`) reads it.
+    #[doc(hidden)]
     pub warm_starts: u64,
     /// Disk-tier entries removed by the size-cap sweep.
     pub disk_evictions: u64,
@@ -122,7 +123,7 @@ impl CacheStats {
     /// wire order. The one list the response's render and parse and the
     /// client's `--stats` line all walk; the `&mut` slots let a parser
     /// fill the counters in place.
-    pub fn counters(&mut self) -> [(&'static str, &mut u64); 13] {
+    pub fn counters(&mut self) -> [(&'static str, &mut u64); 12] {
         [
             ("requests", &mut self.requests),
             ("mem_hits", &mut self.mem_hits),
@@ -132,7 +133,6 @@ impl CacheStats {
             ("mem_evictions", &mut self.mem_evictions),
             ("mem_entries", &mut self.mem_entries),
             ("coalesced", &mut self.coalesced),
-            ("warm_starts", &mut self.warm_starts),
             ("disk_evictions", &mut self.disk_evictions),
             ("admin_flushes", &mut self.admin_flushes),
             ("admin_evictions", &mut self.admin_evictions),
@@ -141,46 +141,29 @@ impl CacheStats {
     }
 }
 
-/// What [`ResultCache::store`] records beyond the payload bytes: the
-/// v2 header fields that make the entry usable as a warm-start donor.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What [`ResultCache::store`] records beside the payload: the request
+/// the payload answers, which binds the disk entry to its key.
+#[derive(Debug)]
 pub struct EntryMeta {
-    /// Canonical scenario spec (the donor index groups entries by it).
+    /// Canonical scenario spec.
     pub spec: String,
     /// Goal label the entry was computed under.
     pub goal: String,
     /// ArC threshold the payload was rendered against.
     pub arc: u64,
-    /// The winning design points of the engine run.
+    /// Ignored. Kept only because the benchmark package (`perfbench/`)
+    /// sets it.
+    #[doc(hidden)]
     pub seeds: CellSeeds,
-}
-
-/// One memory-tier entry: the served bytes plus the design points a
-/// warm start can seed from.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    payload: String,
-    seeds: CellSeeds,
-}
-
-/// One donor-index row: a cache entry known to carry seeds for its
-/// canonical spec.
-#[derive(Debug, Clone)]
-struct Donor {
-    key: u64,
-    goal: String,
-    arc: u64,
 }
 
 /// The two-tier cache. Not internally synchronized — the server wraps
 /// it in a mutex; engine runs happen *outside* that lock.
 #[derive(Debug)]
 pub struct ResultCache {
-    mem: SlruCache<u64, CacheEntry>,
+    mem: SlruCache<u64, String>,
     disk: Option<PathBuf>,
     disk_cap: Option<u64>,
-    /// fnv64(canonical spec) → entries that can donate seeds for it.
-    donors: HashMap<u64, Vec<Donor>>,
     /// Lifetime counters; `mem_evictions` and `mem_entries` stay 0 here
     /// and are read off the memory tier by [`stats`](ResultCache::stats).
     stats: CacheStats,
@@ -189,9 +172,9 @@ pub struct ResultCache {
 impl ResultCache {
     /// A cache with a memory tier of at most `mem_cap` entries (0
     /// disables it) and, when `disk_dir` is given, a disk tier under
-    /// that directory (created if absent). Existing v2 entries are
-    /// scanned into the donor index so a restarted daemon warm-starts
-    /// from its previous life's results.
+    /// that directory (created if absent). Entries already there are
+    /// served once looked up, so a restarted daemon answers from its
+    /// previous life's results.
     ///
     /// # Errors
     ///
@@ -201,15 +184,12 @@ impl ResultCache {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create cache dir {}: {e}", dir.display()))?;
         }
-        let mut cache = ResultCache {
+        Ok(ResultCache {
             mem: SlruCache::new(mem_cap),
             disk: disk_dir.map(Path::to_path_buf),
             disk_cap: None,
-            donors: HashMap::new(),
             stats: CacheStats::default(),
-        };
-        cache.scan_donors();
-        Ok(cache)
+        })
     }
 
     /// Caps the disk tier at `cap_bytes` total entry bytes (`None` =
@@ -232,48 +212,6 @@ impl ResultCache {
         (hex.len() == 16).then(|| u64::from_str_radix(hex, 16).ok())?
     }
 
-    /// Builds the donor index from the disk tier's entry headers
-    /// (unreadable or malformed files are left for `lookup` to reject
-    /// and count).
-    fn scan_donors(&mut self) {
-        let Some(dir) = &self.disk else { return };
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        let mut found = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let Some(key) = Self::path_key(&path) else {
-                continue;
-            };
-            let Ok(raw) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            if let Some((header, _)) = parse_entry(&raw) {
-                found.push((key, header));
-            }
-        }
-        for (key, header) in found {
-            self.remember_donor(key, &header.spec, &header.goal, header.arc);
-        }
-    }
-
-    fn remember_donor(&mut self, key: u64, spec: &str, goal: &str, arc: u64) {
-        let row = self.donors.entry(fnv64(spec.as_bytes())).or_default();
-        row.retain(|d| d.key != key);
-        row.push(Donor {
-            key,
-            goal: goal.to_string(),
-            arc,
-        });
-    }
-
-    fn forget_donor(&mut self, key: u64) {
-        for row in self.donors.values_mut() {
-            row.retain(|d| d.key != key);
-        }
-    }
-
     /// Looks `key` up: memory first, then disk (promoting a disk hit
     /// into memory and bumping its mtime so the size-cap sweep sees it
     /// as recently used). A corrupt disk entry is counted as an error,
@@ -281,33 +219,26 @@ impl ResultCache {
     /// the engine and [`store`](ResultCache::store) the result.
     pub fn lookup(&mut self, key: u64) -> (Option<String>, CacheTier) {
         self.stats.requests += 1;
-        if let Some(entry) = self.mem.get(&key) {
+        if let Some(payload) = self.mem.get(&key) {
             self.stats.mem_hits += 1;
-            return (Some(entry.payload.clone()), CacheTier::Mem);
+            return (Some(payload.clone()), CacheTier::Mem);
         }
-        if let Some(dir) = self.disk.clone() {
-            let path = Self::entry_path(&dir, key);
+        if let Some(dir) = &self.disk {
+            let path = Self::entry_path(dir, key);
             match std::fs::read_to_string(&path) {
-                Ok(raw) => match parse_entry(&raw) {
-                    Some((header, payload)) => {
+                Ok(line) => match entry_payload(&line, key) {
+                    Ok(payload) => {
                         self.stats.disk_hits += 1;
                         touch(&path);
-                        let payload = payload.to_string();
-                        self.mem.insert(
-                            key,
-                            CacheEntry {
-                                payload: payload.clone(),
-                                seeds: header.seeds,
-                            },
-                        );
+                        self.mem.insert(key, payload.clone());
                         return (Some(payload), CacheTier::Disk);
                     }
-                    None => {
-                        // Empty, torn, or tampered with: never serve
-                        // it — drop the file and recompute.
+                    Err(_) => {
+                        // Torn, tampered with or filed under another
+                        // key: never serve it — drop the file and
+                        // recompute.
                         self.stats.errors += 1;
                         let _ = std::fs::remove_file(&path);
-                        self.forget_donor(key);
                     }
                 },
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -318,27 +249,19 @@ impl ResultCache {
         (None, CacheTier::Miss)
     }
 
-    /// Stores a freshly computed result in both tiers as a v2 entry
-    /// and registers it in the donor index. The disk write is atomic:
-    /// the entry is written to a sibling temp file (unique per store,
-    /// so concurrent same-key stores never interleave) and renamed
-    /// into place — a concurrent reader (or a crash) never observes a
-    /// partial entry. Disk failures are counted and swallowed; the
-    /// memory tier still serves the entry.
+    /// Stores a freshly computed result in both tiers. The disk write
+    /// is atomic: the entry is written to a sibling temp file (unique
+    /// per store, so concurrent same-key stores never interleave) and
+    /// renamed into place — a concurrent reader (or a crash) never
+    /// observes a partial entry. Disk failures are counted and
+    /// swallowed; the memory tier still serves the entry.
     pub fn store(&mut self, key: u64, payload: &str, meta: &EntryMeta) {
-        self.mem.insert(
-            key,
-            CacheEntry {
-                payload: payload.to_string(),
-                seeds: meta.seeds.clone(),
-            },
-        );
-        self.remember_donor(key, &meta.spec, &meta.goal, meta.arc);
+        self.mem.insert(key, payload.to_string());
         if let Some(dir) = self.disk.clone() {
             static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let tmp = dir.join(format!(".tmp-{key:016x}-{}-{seq}", std::process::id()));
-            let result = std::fs::write(&tmp, render_entry(payload, meta))
+            let result = std::fs::write(&tmp, entry_line(payload, meta))
                 .and_then(|()| std::fs::rename(&tmp, Self::entry_path(&dir, key)));
             match result {
                 Ok(()) => {
@@ -383,65 +306,14 @@ impl ResultCache {
             if std::fs::remove_file(&path).is_ok() {
                 total = total.saturating_sub(len);
                 self.stats.disk_evictions += 1;
-                self.forget_donor(key);
             }
         }
     }
 
-    /// Finds a warm-start donor for a miss: an entry with the same
-    /// canonical spec but a different key, preferring the same goal
-    /// (then `all`, then any), then the nearest ArC, then the smallest
-    /// key. Donors whose entry no longer loads (evicted, corrupted)
-    /// are dropped from the index and the next candidate tried.
-    pub fn find_warm(
-        &mut self,
-        spec: &str,
-        goal: &str,
-        arc: u64,
-        exclude: u64,
-    ) -> Option<(u64, CellSeeds)> {
-        let spec_hash = fnv64(spec.as_bytes());
-        let mut candidates: Vec<Donor> = self
-            .donors
-            .get(&spec_hash)?
-            .iter()
-            .filter(|d| d.key != exclude)
-            .cloned()
-            .collect();
-        candidates.sort_by_key(|d| {
-            let goal_rank = if d.goal == goal {
-                0u8
-            } else if d.goal == "all" {
-                1
-            } else {
-                2
-            };
-            (goal_rank, d.arc.abs_diff(arc), d.key)
-        });
-        for donor in candidates {
-            match self.read_seeds(donor.key) {
-                Some(seeds) if seeds.seed_count() > 0 => return Some((donor.key, seeds)),
-                _ => self.forget_donor(donor.key),
-            }
-        }
-        None
-    }
-
-    /// Loads one entry's seeds without touching the hit/miss counters
-    /// (a donor read is bookkeeping, not a served request).
-    fn read_seeds(&mut self, key: u64) -> Option<CellSeeds> {
-        if let Some(entry) = self.mem.get(&key) {
-            return Some(entry.seeds.clone());
-        }
-        let dir = self.disk.as_ref()?;
-        let raw = std::fs::read_to_string(Self::entry_path(dir, key)).ok()?;
-        parse_entry(&raw).map(|(header, _)| header.seeds)
-    }
-
-    /// Admin flush: drops every entry from both tiers and the donor
-    /// index. Returns `(memory entries dropped, disk entries removed)`.
-    /// Lifetime counters survive — a flush resets the *contents*, not
-    /// the history — and the flush itself is counted.
+    /// Admin flush: drops every entry from both tiers. Returns `(memory
+    /// entries dropped, disk entries removed)`. Lifetime counters
+    /// survive — a flush resets the *contents*, not the history — and
+    /// the flush itself is counted.
     pub fn flush(&mut self) -> (usize, usize) {
         let mem_dropped = self.mem.clear();
         let mut disk_removed = 0usize;
@@ -455,21 +327,19 @@ impl ResultCache {
                 }
             }
         }
-        self.donors.clear();
         self.stats.admin_flushes += 1;
         (mem_dropped, disk_removed)
     }
 
-    /// Admin eviction of one key from both tiers (and the donor index).
-    /// Returns whether anything was actually removed; evicting an
-    /// absent key is a no-op and counts nothing.
+    /// Admin eviction of one key from both tiers. Returns whether
+    /// anything was actually removed; evicting an absent key is a no-op
+    /// and counts nothing.
     pub fn evict(&mut self, key: u64) -> bool {
         let mut removed = self.mem.remove(&key).is_some();
         if let Some(dir) = &self.disk {
             removed |= std::fs::remove_file(Self::entry_path(dir, key)).is_ok();
         }
         if removed {
-            self.forget_donor(key);
             self.stats.admin_evictions += 1;
         }
         removed
@@ -479,11 +349,6 @@ impl ResultCache {
     /// engine run instead of starting its own).
     pub fn note_coalesced(&mut self) {
         self.stats.coalesced += 1;
-    }
-
-    /// Counts one warm-started engine run.
-    pub fn note_warm_start(&mut self) {
-        self.stats.warm_starts += 1;
     }
 
     /// Snapshot of the lifetime counters.
@@ -504,137 +369,36 @@ fn touch(path: &Path) {
     }
 }
 
-/// A parsed v2 entry header.
-#[derive(Debug, Clone, PartialEq)]
-struct EntryHeader {
-    spec: String,
-    goal: String,
-    arc: u64,
-    seeds: CellSeeds,
-}
-
-/// Renders one v2 disk entry: header line + payload bytes, verbatim.
-fn render_entry(payload: &str, meta: &EntryMeta) -> String {
-    format!(
-        "{{\"v\":2,\"goal\":\"{}\",\"arc\":{},\"spec\":\"{}\",\"seeds\":\"{}\"}}\n{payload}",
+/// One disk entry: the request fields and the escaped payload, sealed.
+fn entry_line(payload: &str, meta: &EntryMeta) -> String {
+    seal(&format!(
+        "{{\"goal\":\"{}\",\"arc\":{},\"spec\":\"{}\",\"payload\":\"{}\"",
         json_escape(&meta.goal),
         meta.arc,
         json_escape(&meta.spec),
-        json_escape(&encode_seeds(&meta.seeds)),
-    )
-}
-
-/// Parses a v2 entry into `(header, payload)`. Returns `None` for
-/// anything else: the caller treats it as corrupt.
-fn parse_entry(raw: &str) -> Option<(EntryHeader, &str)> {
-    let (header_line, payload) = raw.split_once('\n')?;
-    let mut fields = parse_object(header_line).ok()?;
-    let version: u64 = take_int(&mut fields, "v").ok()??;
-    if version != 2 {
-        return None;
-    }
-    let goal = take_str(&mut fields, "goal").ok()??;
-    let arc = take_int(&mut fields, "arc").ok()??;
-    let spec = take_str(&mut fields, "spec").ok()??;
-    let seeds = decode_seeds(&take_str(&mut fields, "seeds").ok()??)?;
-    if !fields.is_empty() || !payload_shape_ok(payload) {
-        return None;
-    }
-    Some((
-        EntryHeader {
-            spec,
-            goal,
-            arc,
-            seeds,
-        },
-        payload,
+        json_escape(payload),
     ))
 }
 
-/// Structural validation of served payload bytes: non-empty and
-/// brace-delimited. Catches zero-length and truncated entries without
-/// re-parsing the full cell JSON on every hit.
-fn payload_shape_ok(payload: &str) -> bool {
-    let trimmed = payload.trim();
-    !trimmed.is_empty() && trimmed.starts_with('{') && trimmed.ends_with('}')
-}
-
-/// Encodes a [`CellSeeds`] as a compact line-safe string: strategy
-/// rows joined by `|`, each `LABEL>app;app;…`, an app either `-` (no
-/// feasible solution) or `types:mapping` with dot-separated indices.
-fn encode_seeds(seeds: &CellSeeds) -> String {
-    seeds
-        .strategies
-        .iter()
-        .map(|(strategy, apps)| {
-            let apps = apps
-                .iter()
-                .map(|app| match app {
-                    None => "-".to_string(),
-                    Some(w) => format!(
-                        "{}:{}",
-                        w.types
-                            .iter()
-                            .map(|t| t.index().to_string())
-                            .collect::<Vec<_>>()
-                            .join("."),
-                        w.mapping
-                            .iter()
-                            .map(|n| n.index().to_string())
-                            .collect::<Vec<_>>()
-                            .join("."),
-                    ),
-                })
-                .collect::<Vec<_>>()
-                .join(";");
-            format!("{}>{apps}", strategy.label())
-        })
-        .collect::<Vec<_>>()
-        .join("|")
-}
-
-/// Reverses [`encode_seeds`]; `None` on any malformed input (a corrupt
-/// seeds field invalidates the whole entry rather than seeding the
-/// engine with garbage).
-fn decode_seeds(encoded: &str) -> Option<CellSeeds> {
-    let mut seeds = CellSeeds::default();
-    if encoded.is_empty() {
-        return Some(seeds);
+/// The payload of a disk entry read back under `key`, or why the entry
+/// is corrupt: it fails its checksum, lacks a field or has an unknown
+/// one, or answers a request whose content address is not `key`.
+fn entry_payload(line: &str, key: u64) -> Result<String, String> {
+    let mut fields = unseal(line)?;
+    let goal = need_str(&mut fields, "goal")?;
+    let arc = need_int(&mut fields, "arc")?;
+    let spec = need_str(&mut fields, "spec")?;
+    let payload = need_str(&mut fields, "payload")?;
+    reject_unknown(&fields, "cache entry")?;
+    if cache_key(&spec, &goal, arc, ENGINE_VERSION) != key {
+        return Err(format!("entry does not answer key {key:016x}"));
     }
-    for row in encoded.split('|') {
-        let (label, apps) = row.split_once('>')?;
-        let strategy = match label {
-            "MIN" => Strategy::Min,
-            "MAX" => Strategy::Max,
-            "OPT" => Strategy::Opt,
-            _ => return None,
-        };
-        let mut decoded = Vec::new();
-        if !apps.is_empty() {
-            for app in apps.split(';') {
-                if app == "-" {
-                    decoded.push(None);
-                    continue;
-                }
-                let (types, mapping) = app.split_once(':')?;
-                let parse_ids = |s: &str| -> Option<Vec<u32>> {
-                    s.split('.').map(|n| n.parse::<u32>().ok()).collect()
-                };
-                decoded.push(Some(WarmStart {
-                    types: parse_ids(types)?.into_iter().map(NodeTypeId::new).collect(),
-                    mapping: parse_ids(mapping)?.into_iter().map(NodeId::new).collect(),
-                }));
-            }
-        }
-        seeds.strategies.push((strategy, decoded));
-    }
-    Some(seeds)
+    Ok(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ENGINE_VERSION;
     use ftes_gen::Scenario;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -652,19 +416,16 @@ mod tests {
             spec: spec.to_string(),
             goal: goal.to_string(),
             arc,
-            seeds: CellSeeds {
-                strategies: vec![(
-                    Strategy::Opt,
-                    vec![Some(WarmStart {
-                        types: vec![NodeTypeId::new(0), NodeTypeId::new(2)],
-                        mapping: vec![NodeId::new(0), NodeId::new(1), NodeId::new(0)],
-                    })],
-                )],
-            },
+            seeds: CellSeeds::default(),
         }
     }
 
-    const PAYLOAD: &str = "    {\n      \"cell\": 1\n    }";
+    /// The content address of the request `m` describes.
+    fn key_of(m: &EntryMeta) -> u64 {
+        cache_key(&m.spec, &m.goal, m.arc, ENGINE_VERSION)
+    }
+
+    const PAYLOAD: &str = "    {\n      \"best_cost\": [5, 4]\n    }";
 
     #[test]
     fn key_ignores_request_formatting_but_not_content() {
@@ -699,10 +460,15 @@ mod tests {
 
     #[test]
     fn memory_tier_serves_repeats_without_disk() {
+        let m = meta("spec", "opt", 20);
+        let key = key_of(&m);
         let mut cache = ResultCache::new(8, None).unwrap();
-        assert_eq!(cache.lookup(7), (None, CacheTier::Miss));
-        cache.store(7, PAYLOAD, &meta("spec", "opt", 20));
-        assert_eq!(cache.lookup(7), (Some(PAYLOAD.to_string()), CacheTier::Mem));
+        assert_eq!(cache.lookup(key), (None, CacheTier::Miss));
+        cache.store(key, PAYLOAD, &m);
+        assert_eq!(
+            cache.lookup(key),
+            (Some(PAYLOAD.to_string()), CacheTier::Mem)
+        );
         let stats = cache.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.mem_hits, 1);
@@ -713,21 +479,23 @@ mod tests {
     #[test]
     fn disk_tier_survives_a_cache_rebuild() {
         let dir = temp_dir("restart");
+        let m = meta("spec", "opt", 20);
+        let key = key_of(&m);
         {
             let mut cache = ResultCache::new(8, Some(&dir)).unwrap();
-            assert_eq!(cache.lookup(42).1, CacheTier::Miss);
-            cache.store(42, PAYLOAD, &meta("spec", "opt", 20));
+            assert_eq!(cache.lookup(key).1, CacheTier::Miss);
+            cache.store(key, PAYLOAD, &m);
             assert_eq!(cache.stats().disk_writes, 1);
         }
         // A fresh cache over the same directory models a restarted
         // process: the memory tier is cold, the disk tier answers.
         let mut cache = ResultCache::new(8, Some(&dir)).unwrap();
         assert_eq!(
-            cache.lookup(42),
+            cache.lookup(key),
             (Some(PAYLOAD.to_string()), CacheTier::Disk)
         );
         // The disk hit was promoted: the repeat is a memory hit.
-        assert_eq!(cache.lookup(42).1, CacheTier::Mem);
+        assert_eq!(cache.lookup(key).1, CacheTier::Mem);
         let stats = cache.stats();
         assert_eq!(stats.disk_hits, 1);
         assert_eq!(stats.mem_hits, 1);
@@ -739,80 +507,74 @@ mod tests {
     fn mem_only_miss_after_eviction_falls_back_to_disk() {
         let dir = temp_dir("evict");
         let mut cache = ResultCache::new(2, Some(&dir)).unwrap();
-        cache.lookup(1);
-        cache.store(1, PAYLOAD, &meta("one", "opt", 20));
-        // Flood the tiny memory tier until entry 1 rotates out.
-        for k in 2..10u64 {
-            cache.lookup(k);
-            cache.store(k, PAYLOAD, &meta("fill", "opt", 20));
+        let first = meta("one", "opt", 20);
+        cache.lookup(key_of(&first));
+        cache.store(key_of(&first), PAYLOAD, &first);
+        // Flood the tiny memory tier until the first entry rotates out.
+        for arc in 21..29 {
+            let m = meta("fill", "opt", arc);
+            cache.lookup(key_of(&m));
+            cache.store(key_of(&m), PAYLOAD, &m);
         }
         assert!(cache.stats().mem_evictions > 0);
-        // Entry 1 is gone from memory but still on disk.
+        // The first entry is gone from memory but still on disk.
         assert_eq!(
-            cache.lookup(1),
+            cache.lookup(key_of(&first)),
             (Some(PAYLOAD.to_string()), CacheTier::Disk)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn seed_codec_round_trips_and_rejects_garbage() {
-        let seeds = CellSeeds {
-            strategies: vec![
-                (
-                    Strategy::Max,
-                    vec![
-                        None,
-                        Some(WarmStart {
-                            types: vec![NodeTypeId::new(3)],
-                            mapping: vec![NodeId::new(0), NodeId::new(0)],
-                        }),
-                    ],
-                ),
-                (Strategy::Min, vec![None]),
-            ],
-        };
-        let encoded = encode_seeds(&seeds);
-        assert_eq!(encoded, "MAX>-;3:0.0|MIN>-");
-        assert_eq!(decode_seeds(&encoded).unwrap(), seeds);
-        assert_eq!(decode_seeds("").unwrap(), CellSeeds::default());
-        for bad in ["BEST>-", "OPT>1", "OPT>x:0", "OPT>1:y", "OPT", "|"] {
-            assert!(decode_seeds(bad).is_none(), "{bad:?} accepted");
-        }
-    }
-
-    #[test]
     fn v2_entries_round_trip_header_and_payload_verbatim() {
         let m = meta("apps=2;bus=tdma:500", "all", 25);
-        let rendered = render_entry(PAYLOAD, &m);
-        let (header, payload) = parse_entry(&rendered).unwrap();
-        assert_eq!(payload, PAYLOAD);
-        assert_eq!(header.spec, m.spec);
-        assert_eq!(header.goal, m.goal);
-        assert_eq!(header.arc, m.arc);
-        assert_eq!(header.seeds, m.seeds);
+        let line = entry_line(PAYLOAD, &m);
+        assert!(line.ends_with("\"}\n") && !line.trim_end().contains('\n'));
+        assert_eq!(entry_payload(&line, key_of(&m)).unwrap(), PAYLOAD);
+        // The record names its request, so it answers that key only.
+        let other = meta("apps=2;bus=tdma:500", "all", 26);
+        assert!(entry_payload(&line, key_of(&other)).is_err());
     }
 
     #[test]
     fn corrupt_disk_entries_are_rejected_deleted_and_counted() {
-        for corrupt in [
-            "",                          // zero-length (disk-full artifact)
-            "{\"v\":2,\"goal\":\"opt\"", // truncated header, no payload
-            "{\"v\":2,\"goal\":\"opt\",\"arc\":20,\"spec\":\"s\",\"seeds\":\"\"}\n    {\"trunc", // torn payload
-            "{\"v\":9,\"goal\":\"opt\",\"arc\":20,\"spec\":\"s\",\"seeds\":\"\"}\n    {}", // unknown version
-            PAYLOAD, // bare payload, no header line (the pre-v2 format)
+        let m = meta("apps=1", "opt", 20);
+        let key = key_of(&m);
+        let valid = entry_line(PAYLOAD, &m);
+        let another = entry_line(PAYLOAD, &meta("apps=2", "opt", 20));
+        let stored = {
+            // What `store` writes for `key`: the fixture under test.
+            let dir = temp_dir("corrupt-src");
+            let mut cache = ResultCache::new(8, Some(&dir)).unwrap();
+            cache.store(key, PAYLOAD, &m);
+            let raw = std::fs::read_to_string(ResultCache::entry_path(&dir, key)).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            raw
+        };
+        assert_eq!(stored, valid);
+        assert!(valid.contains("[5, 4]"));
+        for (what, corrupt) in [
+            ("zero-length (disk-full artifact)", String::new()),
+            ("torn record", valid[..valid.len() / 2].to_string()),
+            ("one payload digit changed", valid.replace("[5, 4]", "[5, 9]")),
+            ("another key's valid entry under this key's name", another),
+            ("bare payload (the v1 format)", PAYLOAD.to_string()),
+            (
+                "header line then payload (the v2 format)",
+                format!("{{\"v\":2,\"goal\":\"opt\",\"arc\":20,\"spec\":\"apps=1\",\"seeds\":\"\"}}\n{PAYLOAD}"),
+            ),
         ] {
             let dir = temp_dir("corrupt");
             std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join(format!("{:016x}.json", 7u64));
-            std::fs::write(&path, corrupt).unwrap();
+            let path = ResultCache::entry_path(&dir, key);
+            std::fs::write(&path, &corrupt).unwrap();
             let mut cache = ResultCache::new(8, Some(&dir)).unwrap();
-            assert_eq!(cache.lookup(7), (None, CacheTier::Miss), "{corrupt:?}");
-            assert_eq!(cache.stats().errors, 1, "{corrupt:?}");
-            assert!(!path.exists(), "{corrupt:?} not deleted");
+            assert_eq!(cache.lookup(key), (None, CacheTier::Miss), "{what}");
+            assert_eq!(cache.stats().errors, 1, "{what}");
+            assert!(!path.exists(), "{what}: not deleted");
             // The slot is reusable: a store then serves normally.
-            cache.store(7, PAYLOAD, &meta("spec", "opt", 20));
-            assert_eq!(cache.lookup(7).1, CacheTier::Mem);
+            cache.store(key, PAYLOAD, &m);
+            assert_eq!(cache.lookup(key).1, CacheTier::Mem, "{what}");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -820,6 +582,8 @@ mod tests {
     #[test]
     fn concurrent_same_key_stores_never_tear_the_entry() {
         let dir = temp_dir("race");
+        let m = meta("spec", "opt", 20);
+        let key = key_of(&m);
         let cache = std::sync::Mutex::new(ResultCache::new(8, Some(&dir)).unwrap());
         // The pre-fix temp name was `.tmp-{key}-{pid}` — identical for
         // every thread of one process, so two stores could interleave
@@ -829,16 +593,13 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for _ in 0..20 {
-                        cache
-                            .lock()
-                            .unwrap()
-                            .store(3, PAYLOAD, &meta("spec", "opt", 20));
+                        cache.lock().unwrap().store(key, PAYLOAD, &m);
                     }
                 });
             }
         });
         let mut cache = cache.into_inner().unwrap();
-        assert_eq!(cache.lookup(3).0.as_deref(), Some(PAYLOAD));
+        assert_eq!(cache.lookup(key).0.as_deref(), Some(PAYLOAD));
         assert_eq!(cache.stats().errors, 0);
         // No temp litter left behind.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -853,14 +614,16 @@ mod tests {
     #[test]
     fn disk_cap_evicts_oldest_entries_first_and_mem_still_hits() {
         let dir = temp_dir("cap");
-        let entry_len = render_entry(PAYLOAD, &meta("spec", "opt", 20)).len() as u64;
+        let metas = [20, 21, 22].map(|arc| meta("spec", "opt", arc));
+        let [k1, k2, k3] = [0, 1, 2].map(|i| key_of(&metas[i]));
+        let entry_len = entry_line(PAYLOAD, &metas[0]).len() as u64;
         let mut cache = ResultCache::new(8, Some(&dir))
             .unwrap()
             .with_disk_cap(Some(entry_len * 2));
-        cache.store(1, PAYLOAD, &meta("spec", "opt", 20));
-        cache.store(2, PAYLOAD, &meta("spec", "opt", 21));
+        cache.store(k1, PAYLOAD, &metas[0]);
+        cache.store(k2, PAYLOAD, &metas[1]);
         // Age the first two entries so mtime order is unambiguous.
-        for (key, secs) in [(1u64, 100u64), (2, 200)] {
+        for (key, secs) in [(k1, 100u64), (k2, 200)] {
             let file = std::fs::File::options()
                 .write(true)
                 .open(ResultCache::entry_path(&dir, key))
@@ -868,61 +631,44 @@ mod tests {
             file.set_modified(SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(secs))
                 .unwrap();
         }
-        // The third store exceeds the two-entry cap: entry 1 (oldest
-        // mtime) is swept, 2 and 3 stay.
-        cache.store(3, PAYLOAD, &meta("spec", "opt", 22));
+        // The third store exceeds the two-entry cap: the first entry
+        // (oldest mtime) is swept, the other two stay.
+        cache.store(k3, PAYLOAD, &metas[2]);
         assert_eq!(cache.stats().disk_evictions, 1);
-        assert!(!ResultCache::entry_path(&dir, 1).exists());
-        assert!(ResultCache::entry_path(&dir, 2).exists());
-        assert!(ResultCache::entry_path(&dir, 3).exists());
+        assert!(!ResultCache::entry_path(&dir, k1).exists());
+        assert!(ResultCache::entry_path(&dir, k2).exists());
+        assert!(ResultCache::entry_path(&dir, k3).exists());
         // The evicted entry is still memory-resident: lookups hit.
-        assert_eq!(cache.lookup(1), (Some(PAYLOAD.to_string()), CacheTier::Mem));
+        assert_eq!(
+            cache.lookup(k1),
+            (Some(PAYLOAD.to_string()), CacheTier::Mem)
+        );
         // But a rebuilt cache (cold memory) must recompute it.
         let mut rebuilt = ResultCache::new(8, Some(&dir)).unwrap();
-        assert_eq!(rebuilt.lookup(1), (None, CacheTier::Miss));
-        assert_eq!(rebuilt.lookup(2).1, CacheTier::Disk);
+        assert_eq!(rebuilt.lookup(k1), (None, CacheTier::Miss));
+        assert_eq!(rebuilt.lookup(k2).1, CacheTier::Disk);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn warm_donor_prefers_same_goal_then_nearest_arc() {
-        let mut cache = ResultCache::new(8, None).unwrap();
-        cache.store(10, PAYLOAD, &meta("specA", "opt", 10));
-        cache.store(11, PAYLOAD, &meta("specA", "opt", 30));
-        cache.store(12, PAYLOAD, &meta("specA", "all", 20));
-        cache.store(13, PAYLOAD, &meta("specB", "opt", 20));
-        // Same goal wins over the goal=all entry even at a worse ArC.
-        let (donor, seeds) = cache.find_warm("specA", "opt", 20, 99).unwrap();
-        assert_eq!(donor, 10, "nearest-arc same-goal donor");
-        assert!(seeds.seed_count() > 0);
-        // ArC 29: entry 11 is nearer.
-        assert_eq!(cache.find_warm("specA", "opt", 29, 99).unwrap().0, 11);
-        // A goal with no same-goal donor falls back to goal=all first.
-        assert_eq!(cache.find_warm("specA", "min", 20, 99).unwrap().0, 12);
-        // The requesting key itself is never its own donor.
-        assert_eq!(cache.find_warm("specB", "opt", 20, 13), None);
-        // An unknown spec has no donors at all.
-        assert_eq!(cache.find_warm("specC", "opt", 20, 99), None);
     }
 
     #[test]
     fn flush_clears_both_tiers_and_the_donor_index() {
         let dir = temp_dir("flush");
         let mut cache = ResultCache::new(8, Some(&dir)).unwrap();
-        cache.store(1, PAYLOAD, &meta("specA", "opt", 20));
-        cache.store(2, PAYLOAD, &meta("specB", "opt", 20));
+        let (a, b) = (meta("specA", "opt", 20), meta("specB", "opt", 20));
+        cache.store(key_of(&a), PAYLOAD, &a);
+        cache.store(key_of(&b), PAYLOAD, &b);
         let (mem_dropped, disk_removed) = cache.flush();
         assert_eq!(mem_dropped, 2);
         assert_eq!(disk_removed, 2);
-        assert_eq!(cache.lookup(1), (None, CacheTier::Miss));
-        assert_eq!(cache.lookup(2), (None, CacheTier::Miss));
-        assert!(cache.find_warm("specA", "opt", 20, 99).is_none());
+        assert_eq!(cache.lookup(key_of(&a)), (None, CacheTier::Miss));
+        assert_eq!(cache.lookup(key_of(&b)), (None, CacheTier::Miss));
         let stats = cache.stats();
         assert_eq!(stats.admin_flushes, 1);
         assert_eq!(stats.disk_writes, 2, "flush keeps lifetime history");
         // The cache still works after a flush.
-        cache.store(3, PAYLOAD, &meta("specC", "opt", 20));
-        assert_eq!(cache.lookup(3).1, CacheTier::Mem);
+        let c = meta("specC", "opt", 20);
+        cache.store(key_of(&c), PAYLOAD, &c);
+        assert_eq!(cache.lookup(key_of(&c)).1, CacheTier::Mem);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -930,31 +676,19 @@ mod tests {
     fn evict_removes_one_key_everywhere_and_counts_only_real_removals() {
         let dir = temp_dir("admin-evict");
         let mut cache = ResultCache::new(8, Some(&dir)).unwrap();
-        cache.store(5, PAYLOAD, &meta("specA", "opt", 20));
-        cache.store(6, PAYLOAD, &meta("specB", "opt", 20));
-        assert!(cache.evict(5));
-        assert!(!cache.evict(5), "second eviction finds nothing");
-        assert!(!cache.evict(999), "absent key is a no-op");
-        assert_eq!(cache.lookup(5), (None, CacheTier::Miss));
-        assert!(!ResultCache::entry_path(&dir, 5).exists());
-        assert!(cache.find_warm("specA", "opt", 20, 99).is_none());
+        let (a, b) = (meta("specA", "opt", 20), meta("specB", "opt", 20));
+        let (ka, kb) = (key_of(&a), key_of(&b));
+        cache.store(ka, PAYLOAD, &a);
+        cache.store(kb, PAYLOAD, &b);
+        assert!(cache.evict(ka));
+        assert!(!cache.evict(ka), "second eviction finds nothing");
+        let absent = key_of(&meta("specC", "opt", 20));
+        assert!(!cache.evict(absent), "absent key is a no-op");
+        assert_eq!(cache.lookup(ka), (None, CacheTier::Miss));
+        assert!(!ResultCache::entry_path(&dir, ka).exists());
         // The untouched neighbour still serves.
-        assert_eq!(cache.lookup(6).1, CacheTier::Mem);
+        assert_eq!(cache.lookup(kb).1, CacheTier::Mem);
         assert_eq!(cache.stats().admin_evictions, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn restart_rebuilds_the_donor_index_from_disk_headers() {
-        let dir = temp_dir("donor-scan");
-        {
-            let mut cache = ResultCache::new(8, Some(&dir)).unwrap();
-            cache.store(21, PAYLOAD, &meta("specA", "opt", 20));
-        }
-        let mut cache = ResultCache::new(8, Some(&dir)).unwrap();
-        let (donor, seeds) = cache.find_warm("specA", "min", 25, 99).unwrap();
-        assert_eq!(donor, 21);
-        assert!(seeds.seed_count() > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

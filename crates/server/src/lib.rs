@@ -13,8 +13,10 @@
 //!   front ([`ftes_opt::SlruCache`]) over a disk filecache whose
 //!   entries are written atomically (temp + rename), keyed by the
 //!   FNV-1a hash of (canonical scenario spec, goal, ArC, engine
-//!   version). The disk tier survives process restarts; hit/miss/evict
-//!   counters are surfaced in every response and via a `stats` request.
+//!   version). Each disk entry is one checksummed record naming the
+//!   request it answers, served only under that request's key. The
+//!   disk tier survives process restarts; hit/miss/evict counters are
+//!   surfaced in every response and via a `stats` request.
 //! * [`server`] — reusable connection handler threads, one per open
 //!   connection, over one shared cache, engine runs gated through a
 //!   [`CoreBudget`](ftes_opt::CoreBudget)-derived slot pool so a burst

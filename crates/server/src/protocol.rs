@@ -23,8 +23,7 @@
 //! (`goal` defaults to `opt`, `arc` to 20.) Responses:
 //!
 //! ```text
-//! {"resp":"result","cache":"mem|disk|miss|warm|coalesced","key":"<16 hex>","engine_ms":N,
-//!  "donor":"<16 hex>",              (warm responses only)
+//! {"resp":"result","cache":"mem|disk|miss|coalesced","key":"<16 hex>","engine_ms":N,
 //!  "mem_hits":N,"disk_hits":N,"misses":N,"payload":"<escaped cell JSON>"}
 //! {"resp":"stats","requests":N,...,"errors":N}
 //! {"resp":"flushed","mem":N,"disk":N}
@@ -124,17 +123,18 @@ pub enum Request {
 pub enum Response {
     /// An `optimize` answer.
     Result {
-        /// How the request was served: `mem`/`disk` (cache hit),
-        /// `miss` (cold engine run), `warm` (engine run seeded from a
-        /// near-miss donor) or `coalesced` (joined another request's
+        /// How the request was served: `mem`/`disk` (cache hit), `miss`
+        /// (engine run) or `coalesced` (joined another request's
         /// in-flight engine run).
         cache: String,
         /// The content address, 16 hex digits.
         key: String,
         /// Engine wall time (0 on a cache hit or a coalesced join).
         engine_ms: u64,
-        /// The donor entry a warm start was seeded from, 16 hex
-        /// digits (`None` on every non-warm response).
+        /// Always `None`: never rendered, and a `donor` key is rejected
+        /// on parse. Kept only because the benchmark package
+        /// (`perfbench/`) sets it.
+        #[doc(hidden)]
         donor: Option<String>,
         /// Running memory-hit counter after this request.
         mem_hits: u64,
@@ -261,27 +261,19 @@ impl Response {
                 cache,
                 key,
                 engine_ms,
-                donor,
                 mem_hits,
                 disk_hits,
                 misses,
                 payload,
-            } => {
-                // `donor` renders only when present, so non-warm
-                // responses keep their pre-warm-start byte layout.
-                let donor = donor
-                    .as_ref()
-                    .map(|d| format!("\"donor\":\"{}\",", json_escape(d)))
-                    .unwrap_or_default();
-                format!(
-                    "{{\"resp\":\"result\",\"cache\":\"{}\",\"key\":\"{}\",\"engine_ms\":{engine_ms},\
-                     {donor}\"mem_hits\":{mem_hits},\"disk_hits\":{disk_hits},\"misses\":{misses},\
-                     \"payload\":\"{}\"}}\n",
-                    json_escape(cache),
-                    json_escape(key),
-                    json_escape(payload),
-                )
-            }
+                ..
+            } => format!(
+                "{{\"resp\":\"result\",\"cache\":\"{}\",\"key\":\"{}\",\"engine_ms\":{engine_ms},\
+                 \"mem_hits\":{mem_hits},\"disk_hits\":{disk_hits},\"misses\":{misses},\
+                 \"payload\":\"{}\"}}\n",
+                json_escape(cache),
+                json_escape(key),
+                json_escape(payload),
+            ),
             Response::Stats(s) => {
                 let mut s = *s;
                 let mut line = String::from("{\"resp\":\"stats\"");
@@ -323,7 +315,7 @@ impl Response {
                     cache: need_str(&mut fields, "cache")?,
                     key: need_str(&mut fields, "key")?,
                     engine_ms: need_int(&mut fields, "engine_ms")?,
-                    donor: take_str(&mut fields, "donor")?,
+                    donor: None,
                     mem_hits: need_int(&mut fields, "mem_hits")?,
                     disk_hits: need_int(&mut fields, "disk_hits")?,
                     misses: need_int(&mut fields, "misses")?,
@@ -483,17 +475,17 @@ mod tests {
             mem_evictions: 106,
             mem_entries: 107,
             coalesced: 108,
-            warm_starts: 109,
             disk_evictions: 110,
             errors: 111,
             admin_flushes: 112,
             admin_evictions: 113,
+            ..CacheStats::default()
         };
         assert_eq!(
             Response::Stats(stats).render(),
             "{\"resp\":\"stats\",\"requests\":101,\"mem_hits\":102,\"disk_hits\":103,\
              \"misses\":104,\"disk_writes\":105,\"mem_evictions\":106,\"mem_entries\":107,\
-             \"coalesced\":108,\"warm_starts\":109,\"disk_evictions\":110,\
+             \"coalesced\":108,\"disk_evictions\":110,\
              \"admin_flushes\":112,\"admin_evictions\":113,\"errors\":111}\n"
         );
         let resps = [
@@ -508,10 +500,10 @@ mod tests {
                 payload: "{\n  \"cell\": 1\n}".to_string(),
             },
             Response::Result {
-                cache: "warm".to_string(),
+                cache: "coalesced".to_string(),
                 key: "00ffabcd00ffabcd".to_string(),
-                engine_ms: 77,
-                donor: Some("1234567890abcdef".to_string()),
+                engine_ms: 0,
+                donor: None,
                 mem_hits: 1,
                 disk_hits: 2,
                 misses: 3,
@@ -532,5 +524,20 @@ mod tests {
             );
             assert_eq!(Response::parse(line.trim_end()).unwrap(), resp, "{line:?}");
         }
+    }
+
+    #[test]
+    fn result_lines_with_a_donor_key_are_rejected() {
+        let line = "{\"resp\":\"result\",\"cache\":\"miss\",\"key\":\"00ffabcd00ffabcd\",\
+                    \"engine_ms\":77,\"donor\":\"1234567890abcdef\",\"mem_hits\":1,\
+                    \"disk_hits\":2,\"misses\":3,\"payload\":\"{}\"}";
+        let err = Response::parse(line).unwrap_err();
+        assert!(err.contains("\"donor\""), "{err}");
+        // The same line without the key parses.
+        let line = line.replace("\"donor\":\"1234567890abcdef\",", "");
+        assert!(matches!(
+            Response::parse(&line),
+            Ok(Response::Result { donor: None, .. })
+        ));
     }
 }

@@ -31,9 +31,8 @@
 //!   followers block on its condvar and are handed the same bytes —
 //!   one engine run per key, no matter how many requests race to it
 //!   (`coalesced` in stats counts the followers).
-//! * A miss that finds a near-miss donor entry (same canonical spec,
-//!   different goal or ArC) seeds the engine run from the donor's
-//!   winning design points and reports `cache=warm` plus the donor key.
+//! * Every engine run is cold: the bytes served for a key depend on the
+//!   key alone, never on which requests came before it.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -44,7 +43,7 @@ use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use ftes_bench::dist::protocol::{wake_listener, FrameReader, RecvError};
-use ftes_bench::matrix::{cell_json, run_cell_seeded};
+use ftes_bench::matrix::{cell_json, run_cell_budgeted, CellSeeds};
 use ftes_gen::Scenario;
 use ftes_model::Cost;
 use ftes_opt::{CoreBudget, Threads};
@@ -450,9 +449,8 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
 }
 
 /// Answers one `optimize` request: cache lookup under the lock; on a
-/// miss, the engine run coalesces with identical in-flight requests,
-/// warm-starts from a near-miss donor when one exists, and happens
-/// outside the cache lock behind an RAII slot permit.
+/// miss, the engine run coalesces with identical in-flight requests and
+/// happens outside the cache lock behind an RAII slot permit.
 fn serve_optimize(scenario: &str, goal: crate::Goal, arc: u64, shared: &Shared) -> Response {
     let Shared {
         cache,
@@ -470,57 +468,36 @@ fn serve_optimize(scenario: &str, goal: crate::Goal, arc: u64, shared: &Shared) 
     let key = cache_key(&canonical, goal.label(), arc, ENGINE_VERSION);
 
     let (cached, tier) = cache.lock().expect("cache poisoned").lookup(key);
-    let (payload, label, engine_ms, donor) = match cached {
-        Some(payload) => (payload, tier.label().to_string(), 0, None),
+    let (payload, label, engine_ms) = match cached {
+        Some(payload) => (payload, tier.label(), 0),
         None => {
-            let mut donor_key: Option<u64> = None;
             let mut engine_ms = 0u64;
             let outcome = coalesce_compute(inflight, key, |_run| {
-                let donor = cache.lock().expect("cache poisoned").find_warm(
-                    &canonical,
-                    goal.label(),
-                    arc,
-                    key,
-                );
-                let seeds = donor.as_ref().map(|(_, seeds)| seeds);
                 let permit = Permit::acquire(gate);
                 let started = Instant::now();
-                let (cell, winners) = run_cell_seeded(&parsed, goal.strategies(), *per_slot, seeds);
+                let cell = run_cell_budgeted(&parsed, goal.strategies(), *per_slot);
                 // timings=false keeps the payload deterministic: the same
                 // request always caches (and serves) identical bytes.
                 let payload = cell_json(&cell, Cost::new(arc), false);
                 engine_ms = started.elapsed().as_millis() as u64;
                 drop(permit);
-                let mut cache = cache.lock().expect("cache poisoned");
-                if donor.is_some() {
-                    cache.note_warm_start();
-                }
-                cache.store(
+                cache.lock().expect("cache poisoned").store(
                     key,
                     &payload,
                     &EntryMeta {
-                        spec: canonical.clone(),
+                        spec: canonical,
                         goal: goal.label().to_string(),
                         arc,
-                        seeds: winners,
+                        seeds: CellSeeds::default(),
                     },
                 );
-                donor_key = donor.map(|(k, _)| k);
                 Ok(payload)
             });
             match outcome {
-                CoalesceOutcome::Led(Ok(payload)) => {
-                    let label = if donor_key.is_some() { "warm" } else { "miss" };
-                    (
-                        payload,
-                        label.to_string(),
-                        engine_ms,
-                        donor_key.map(|k| format!("{k:016x}")),
-                    )
-                }
+                CoalesceOutcome::Led(Ok(payload)) => (payload, "miss", engine_ms),
                 CoalesceOutcome::Joined(Ok(payload)) => {
                     cache.lock().expect("cache poisoned").note_coalesced();
-                    (payload, "coalesced".to_string(), 0, None)
+                    (payload, "coalesced", 0)
                 }
                 CoalesceOutcome::Led(Err(reason)) | CoalesceOutcome::Joined(Err(reason)) => {
                     return Response::Error(reason)
@@ -536,10 +513,10 @@ fn serve_optimize(scenario: &str, goal: crate::Goal, arc: u64, shared: &Shared) 
         );
     }
     Response::Result {
-        cache: label,
+        cache: label.to_string(),
         key: format!("{key:016x}"),
         engine_ms,
-        donor,
+        donor: None,
         mem_hits: stats.mem_hits,
         disk_hits: stats.disk_hits,
         misses: stats.misses,

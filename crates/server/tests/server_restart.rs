@@ -115,18 +115,15 @@ fn cache_tiers_serve_repeats_and_survive_a_restart() {
     assert_eq!(engine_ms, 0, "a hit must not run the engine");
     assert_eq!((mem_hits, misses2), (1, 1));
 
-    // A different goal is a different content address — but the same
-    // canonical spec, so the engine run warm-starts from the goal=opt
-    // entry and reports it as the donor.
-    let other = round_trip(
-        &addr,
-        &Request::Optimize {
-            scenario: "apps=1".to_string(),
-            goal: Goal::Min,
-            arc: 20,
-        },
-    );
-    let min_payload = match other {
+    // A different goal is a different content address: a miss, however
+    // close the cached goal=opt entry is. Its bytes depend on the key
+    // alone, so they equal the same request's on a fresh cache.
+    let min_request = Request::Optimize {
+        scenario: "apps=1".to_string(),
+        goal: Goal::Min,
+        arc: 20,
+    };
+    let min_payload = match round_trip(&addr, &min_request) {
         Response::Result {
             cache,
             key: k,
@@ -134,18 +131,32 @@ fn cache_tiers_serve_repeats_and_survive_a_restart() {
             payload,
             ..
         } => {
-            assert_eq!(cache, "warm", "near-miss request must warm-start");
+            assert_eq!(cache, "miss", "another goal must miss");
             assert_ne!(k, key, "goal must be part of the key");
-            assert_eq!(
-                donor.as_deref(),
-                Some(key.as_str()),
-                "the goal=opt entry is the only possible donor"
-            );
+            assert_eq!(donor, None);
             assert!(payload.contains("\"strategies\""), "payload shape");
             payload
         }
         other => panic!("goal=min request failed: {other:?}"),
     };
+    let fresh_dir = temp_dir("restart-fresh");
+    let (fresh_addr, fresh_handle) = spawn_server(&fresh_dir);
+    match round_trip(&fresh_addr, &min_request) {
+        Response::Result { cache, payload, .. } => {
+            assert_eq!(cache, "miss");
+            assert_eq!(
+                payload, min_payload,
+                "a key's bytes must not depend on the requests before it"
+            );
+        }
+        other => panic!("goal=min request on a fresh cache failed: {other:?}"),
+    }
+    assert_eq!(round_trip(&fresh_addr, &Request::Shutdown), Response::Ok);
+    fresh_handle
+        .join()
+        .expect("server thread")
+        .expect("server run");
+    let _ = std::fs::remove_dir_all(&fresh_dir);
 
     // Malformed requests are rejected with the reason, and do not
     // disturb the counters.
@@ -165,7 +176,6 @@ fn cache_tiers_serve_repeats_and_survive_a_restart() {
     assert_eq!(s.mem_hits, 1);
     assert_eq!(s.misses, 2);
     assert_eq!(s.disk_writes, 2);
-    assert_eq!(s.warm_starts, 1, "the goal=min run was warm-started");
     assert_eq!(s.coalesced, 0);
     assert_eq!(s.errors, 0);
 
@@ -177,7 +187,7 @@ fn cache_tiers_serve_repeats_and_survive_a_restart() {
 
     // ── Restart: a fresh process lifetime over the same cache dir. ──
     let (addr, handle) = spawn_server(&dir);
-    let warm = round_trip(&addr, &optimize("apps=1"));
+    let restarted = round_trip(&addr, &optimize("apps=1"));
     let Response::Result {
         cache,
         key: key3,
@@ -185,9 +195,9 @@ fn cache_tiers_serve_repeats_and_survive_a_restart() {
         engine_ms,
         disk_hits,
         ..
-    } = warm
+    } = restarted
     else {
-        panic!("post-restart request failed: {warm:?}");
+        panic!("post-restart request failed: {restarted:?}");
     };
     assert_eq!(cache, "disk", "restart must hit the disk tier");
     assert_eq!(key3, key);
@@ -208,23 +218,13 @@ fn cache_tiers_serve_repeats_and_survive_a_restart() {
         other => panic!("promoted repeat failed: {other:?}"),
     }
 
-    // Per-key determinism holds for the warm-started key too: the
-    // first computed payload is what the disk tier serves forever,
-    // byte-identical across the restart.
-    let min_again = round_trip(
-        &addr,
-        &Request::Optimize {
-            scenario: "apps=1".to_string(),
-            goal: Goal::Min,
-            arc: 20,
-        },
-    );
-    match min_again {
+    // The goal=min entry replays byte-identical across the restart too.
+    match round_trip(&addr, &min_request) {
         Response::Result { cache, payload, .. } => {
             assert_eq!(cache, "disk");
             assert_eq!(
                 payload, min_payload,
-                "warm-computed payload must replay byte-identical"
+                "disk payload must replay byte-identical"
             );
         }
         other => panic!("post-restart goal=min failed: {other:?}"),
@@ -274,12 +274,9 @@ fn concurrent_identical_requests_coalesce_onto_one_engine_run() {
     assert_eq!(round_trip(&addr, &Request::Shutdown), Response::Ok);
     let stats = handle.join().expect("server thread").expect("server run");
     // Counter-exact accounting: every lookup miss either led an engine
-    // run (responses labeled miss/warm) or joined one (coalesced) —
-    // the label tally and the cache counters must agree exactly.
-    let engine_runs = labels
-        .iter()
-        .filter(|l| *l == "miss" || *l == "warm")
-        .count() as u64;
+    // run (responses labeled miss) or joined one (coalesced) — the
+    // label tally and the cache counters must agree exactly.
+    let engine_runs = labels.iter().filter(|l| *l == "miss").count() as u64;
     let joined = labels.iter().filter(|l| *l == "coalesced").count() as u64;
     assert_eq!(stats.requests, N as u64);
     assert_eq!(stats.misses, engine_runs + joined);

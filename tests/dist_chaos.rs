@@ -10,7 +10,7 @@
 use ftes::bench::dist::{
     run_dist_local, ChaosPlan, DistConfig, LocalWorkerSpec, RunOpts, WorkerOutcome,
 };
-use ftes::bench::{cell_json, run_cell_seeded, Strategy};
+use ftes::bench::{cell_json, run_cell_budgeted, Strategy};
 use ftes::gen::{
     BusProfile, FaultLoad, GraphShape, Heterogeneity, MessageLoad, Scenario, ScenarioMatrix,
     Utilization,
@@ -62,7 +62,7 @@ fn sequential_payloads(cells: &[Scenario]) -> Vec<String> {
         .iter()
         .map(|c| {
             cell_json(
-                &run_cell_seeded(c, &strats, CoreBudget::new(1), None).0,
+                &run_cell_budgeted(c, &strats, CoreBudget::new(1)),
                 ARC,
                 false,
             )

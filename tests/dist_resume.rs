@@ -20,7 +20,7 @@ use ftes::bench::dist::{
     load_journal, matrix_fingerprint, run_worker, Coordinator, DistConfig, Journal, RunOpts,
     WorkerConfig, WorkerOutcome,
 };
-use ftes::bench::{cell_json, run_cell_seeded, Strategy, ENGINE_VERSION};
+use ftes::bench::{cell_json, run_cell_budgeted, Strategy, ENGINE_VERSION};
 use ftes::gen::{
     BusProfile, FaultLoad, GraphShape, Heterogeneity, MessageLoad, Scenario, ScenarioMatrix,
     Utilization,
@@ -73,7 +73,7 @@ fn sequential_payloads(cells: &[Scenario]) -> Vec<String> {
         .iter()
         .map(|c| {
             cell_json(
-                &run_cell_seeded(c, &strats, CoreBudget::new(1), None).0,
+                &run_cell_budgeted(c, &strats, CoreBudget::new(1)),
                 ARC,
                 false,
             )
@@ -321,7 +321,7 @@ fn stale_epoch_results_are_dropped_not_double_emitted() {
                 match Frame::parse(&line) {
                     Ok(Frame::Lease { lease, cell, .. }) => {
                         let payload = cell_json(
-                            &run_cell_seeded(&cells[cell], &strats, CoreBudget::new(1), None).0,
+                            &run_cell_budgeted(&cells[cell], &strats, CoreBudget::new(1)),
                             ARC,
                             false,
                         );
