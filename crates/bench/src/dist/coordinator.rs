@@ -9,53 +9,36 @@
 //! `wall_seconds`) no matter which workers die, stall, corrupt frames
 //! or double-send.
 //!
-//! ## Lease lifecycle
-//!
-//! ```text
-//!            pop cursor                   verified result
-//!  Pending ─────────────▶ Leased ────────────────────────▶ Done
-//!     ▲                     │
-//!     │   deadline miss /   │
-//!     │   disconnect /      │        late/duplicate result
-//!     └───── corrupt ───────┘        on a Done cell ──▶ dropped + counted
-//! ```
-//!
-//! A lease is re-queued (back to the *front* of the cursor, so retried
-//! cells finish early for the in-order sink) when its worker misses the
-//! deadline, disconnects, or returns a frame that fails parsing or its
-//! checksum. A verified result is accepted whenever its cell is not yet
-//! `Done` — even from an expired lease — and duplicates are dropped and
-//! counted. Every socket read and write is bounded by a timeout, so a
-//! hung peer can never wedge a handler thread.
+//! Every lease decision lives in one I/O-free state machine, the
+//! crate-private `lease::LeaseTable` (whose docs draw the lease
+//! lifecycle); this module holds its socket adapters. The acceptor
+//! asks the table before it spawns a handler thread (an excess
+//! connection gets a `busy` reject on the accept thread), each handler
+//! reads one frame under the deadline the table gives it and writes
+//! what the table answers, and the emitter hands ready cells to the
+//! sink and runs the local fallback. Every socket read and write is
+//! bounded by a timeout, so a hung peer can never wedge a handler.
 //!
 //! ## Degraded modes
 //!
-//! If no worker is connected for [`DistConfig::grace_ms`] (none ever
-//! registered, or all died), the coordinator starts executing pending
-//! cells **locally** through the same engine — the run always
-//! terminates with the same document, distribution is only ever an
-//! accelerator. The final accounting is checked: every cell emitted
-//! exactly once, or the run returns an error instead of a silently
-//! wrong artifact.
+//! If no worker is connected for [`DistConfig::grace_ms`], the
+//! coordinator runs pending cells **locally** through the same engine:
+//! distribution is only ever an accelerator. The final accounting is
+//! checked: every cell emitted exactly once, or the run returns an
+//! error instead of a silently wrong artifact.
 //!
 //! ## Crash safety
 //!
 //! With a write-ahead [`Journal`] attached ([`RunOpts::journal`]),
-//! every verified result is fsync'd to disk **before** the cell is
-//! marked done — so a coordinator crash loses at most the result in
-//! flight, never a completed cell. A resumed run seeds the durable set
-//! via [`RunOpts::durable`] (those cells are never re-leased and never
-//! re-emitted) and bumps [`RunOpts::epoch`]; workers reconnecting from
-//! the previous life re-register normally, while result frames stamped
-//! with a stale epoch are counted and dropped, not double-emitted. The
-//! `ckill` chaos knob ([`RunOpts::ckill_after`]) simulates the crash:
-//! it aborts the run after N verified results without sending shutdown
-//! frames or writing an artifact — exactly what SIGKILL would leave
-//! behind.
+//! every verified result is fsync'd **before** the cell is marked done,
+//! so a coordinator crash loses at most the result in flight. A resumed
+//! run seeds [`RunOpts::durable`] and bumps [`RunOpts::epoch`]; workers
+//! re-register, and results stamped with a stale epoch are counted and
+//! dropped. The `ckill` knob ([`RunOpts::ckill_after`]) simulates the
+//! crash: no shutdown frames, no artifact, as SIGKILL would leave it.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ftes_gen::Scenario;
@@ -63,189 +46,61 @@ use ftes_model::Cost;
 use ftes_opt::CoreBudget;
 
 use super::journal::Journal;
-use super::protocol::{
-    checksum, matrix_fingerprint, wake_listener, Frame, FrameReader, RecvError, PROTO_VERSION,
-};
+use super::lease::{ConnId, LeaseTable, Step, Tick};
+use super::protocol::{matrix_fingerprint, wake_listener, Frame, FrameReader};
 use super::{DistConfig, DistStats};
 use crate::matrix::{cell_json, run_cell_budgeted};
 use crate::Strategy;
 
-/// Leases in flight per worker. Two keep a worker busy while its
-/// previous result is in transit and give the shutdown drain something
-/// real to drain.
-const PIPELINE: usize = 2;
-
-/// Registration deadline (milliseconds) for a fresh connection to
-/// present its hello frame.
-const HELLO_MS: u64 = 5_000;
-
-/// Where a cell currently is in the lease lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellState {
-    /// On the cursor, waiting to be leased.
-    Pending,
-    /// Leased to a worker (or claimed by the local fallback).
-    Leased,
-    /// A verified payload has been accepted.
-    Done,
-}
-
-/// One granted, not-yet-answered lease (handler-local bookkeeping).
-#[derive(Debug, Clone, Copy)]
-struct ActiveLease {
-    id: u64,
-    cell: usize,
-    deadline: Instant,
-}
-
-/// Shared coordinator state behind one mutex.
-#[derive(Debug)]
-struct CoordState {
-    /// The shared cursor: cells waiting to be leased, front first.
-    pending: VecDeque<usize>,
-    cell_state: Vec<CellState>,
-    /// Verified payloads waiting for in-order emission.
-    done_payloads: BTreeMap<usize, String>,
-    /// Cells emitted so far (`done_payloads` keys < `emitted` are gone).
-    emitted: usize,
-    next_lease: u64,
-    next_worker: u64,
-    connected: usize,
-    /// Last registration or verified result — the grace clock.
-    last_activity: Instant,
-    /// The run is complete; everyone should wind down.
-    all_emitted: bool,
-    /// Write-ahead journal: results are fsync'd here before they count.
+/// The table and the journal behind one lock, so a fresh result is
+/// journaled and committed in one critical section.
+struct Core {
+    table: LeaseTable,
     journal: Option<Journal>,
-    /// `ckill` chaos: abort after this many verified results (0 = off).
-    ckill_after: u64,
-    /// The crash simulation fired — die without shutdown frames.
-    aborted: bool,
-    /// A journal write failed — the durability contract is broken, so
-    /// the run must end with this error, not a silently weaker artifact.
-    fatal: Option<String>,
-    stats: DistStats,
 }
 
-impl CoordState {
-    /// The run is over without reaching `all_emitted` (crash or fatal).
-    fn dead(&self) -> bool {
-        self.aborted || self.fatal.is_some()
-    }
-
-    /// Everyone should wind down, for good reasons or bad.
-    fn done(&self) -> bool {
-        self.all_emitted || self.dead()
+impl Core {
+    /// Makes a fresh result durable, then commits it: no cell becomes
+    /// `Done` before its journal record is fsync'd.
+    fn settle(&mut self, cell: usize, payload: String, now_ms: u64) {
+        match self.journal.as_mut().map(|j| j.append_cell(cell, &payload)) {
+            Some(Err(e)) => self.table.fail(e),
+            appended => self.table.commit(cell, payload, appended.is_some(), now_ms),
+        }
     }
 }
 
-/// The condvar pair: `work_ready` wakes handlers waiting for pending
-/// cells, `completed` wakes the in-order emitter (results, worker
-/// (dis)connects and re-queues all change what it can do next).
+/// `changed` wakes whoever waits on the table: idle handlers (a requeue
+/// may bring work), the emitter (results, (dis)connects, the end) and
+/// the acceptor's error back-off.
 struct Shared {
-    state: Mutex<CoordState>,
-    work_ready: Condvar,
-    completed: Condvar,
+    core: Mutex<Core>,
+    changed: Condvar,
+    /// Time zero of the table's `now_ms`.
+    start: Instant,
 }
 
 impl Shared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, CoordState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            // A poisoned lock means a handler panicked; the state itself
-            // is a bag of counters and queues that is always consistent
-            // between mutations, so keep going rather than deadlock.
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    fn lock(&self) -> MutexGuard<'_, Core> {
+        // A poisoned lock means a handler panicked; the table is
+        // consistent between calls, so keep going rather than deadlock.
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Re-queues every still-live lease in `outstanding` onto the front
-    /// of the cursor (in cell order) and wakes everyone.
-    fn requeue(&self, outstanding: &mut Vec<ActiveLease>) {
-        let mut st = self.lock();
-        for lease in outstanding.drain(..).rev() {
-            if st.cell_state[lease.cell] == CellState::Leased {
-                st.cell_state[lease.cell] = CellState::Pending;
-                st.pending.push_front(lease.cell);
-                st.stats.leases_requeued += 1;
-            }
-        }
-        drop(st);
-        self.work_ready.notify_all();
-        self.completed.notify_all();
+    fn now_ms(&self) -> u64 {
+        u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
-    /// Accepts a verified payload for `cell` (unless already done, which
-    /// is the duplicate path). Returns whether it was accepted.
-    fn accept_result(&self, cell: usize, payload: String) -> bool {
-        let mut st = self.lock();
-        if st.dead() {
-            // A crashed coordinator accepts nothing more.
-            return false;
-        }
-        match st.cell_state[cell] {
-            CellState::Done => {
-                st.stats.duplicates_dropped += 1;
-                false
-            }
-            state => {
-                // Journal *before* the cell becomes done: a result only
-                // counts once a record the loader can replay is on disk.
-                if let Some(journal) = st.journal.as_mut() {
-                    if let Err(e) = journal.append_cell(cell, &payload) {
-                        st.fatal = Some(e);
-                        drop(st);
-                        self.work_ready.notify_all();
-                        self.completed.notify_all();
-                        return false;
-                    }
-                    st.stats.journaled_cells += 1;
-                }
-                if state == CellState::Pending {
-                    // A late result for a re-queued cell: still valid
-                    // work — take it off the cursor.
-                    st.pending.retain(|&c| c != cell);
-                }
-                st.cell_state[cell] = CellState::Done;
-                st.done_payloads.insert(cell, payload);
-                st.stats.results_ok += 1;
-                st.last_activity = Instant::now();
-                if st.ckill_after > 0 && st.stats.results_ok >= st.ckill_after {
-                    // The crash simulation: from here the coordinator is
-                    // "dead" — no shutdown frames, no artifact, only the
-                    // journal survives.
-                    st.aborted = true;
-                    drop(st);
-                    self.work_ready.notify_all();
-                    self.completed.notify_all();
-                    return true;
-                }
-                drop(st);
-                self.completed.notify_all();
-                true
-            }
-        }
+    /// Runs `f` on the core at the current time, then wakes every waiter.
+    fn with<R>(&self, f: impl FnOnce(&mut Core, u64) -> R) -> R {
+        let out = f(&mut self.lock(), self.now_ms());
+        self.changed.notify_all();
+        out
     }
 
-    fn done(&self) -> bool {
-        self.lock().done()
-    }
-
-    /// Waits up to `timeout` for the run to end; returns whether it has.
-    fn wait_done(&self, timeout: Duration) -> bool {
-        let st = self.lock();
-        let (st, _) = self
-            .completed
-            .wait_timeout_while(st, timeout, |st| !st.done())
-            .unwrap_or_else(|p| p.into_inner());
-        st.done()
-    }
-
-    /// The run actually finished (every cell emitted, no crash) — the
-    /// only state in which workers are told to shut down.
-    fn completed_ok(&self) -> bool {
-        let st = self.lock();
-        st.all_emitted && !st.dead()
+    /// Waits up to `timeout` for a change, holding `core` until then.
+    fn wait(&self, core: MutexGuard<'_, Core>, timeout: Duration) {
+        drop(self.changed.wait_timeout(core, timeout));
     }
 }
 
@@ -255,7 +110,7 @@ impl Shared {
 #[derive(Debug)]
 pub struct RunOpts {
     /// Write-ahead journal: every verified result is fsync'd to it
-    /// before the cell counts as done. `None` keeps PR 7 behaviour.
+    /// before the cell counts as done.
     pub journal: Option<Journal>,
     /// Cells already durable from a replayed journal. They are seeded
     /// `Done`, never leased, and advanced past silently — the sink only
@@ -355,84 +210,55 @@ impl Coordinator {
         F: FnMut(usize, &str),
     {
         let Coordinator { listener, cfg } = self;
-        let RunOpts {
-            journal,
-            durable,
-            epoch,
-            ckill_after,
-        } = opts;
-        let total = cells.len();
         let fingerprint = matrix_fingerprint(cells, strategies, arc, cfg.timings);
-
-        let mut durable_mask = vec![false; total];
-        for &cell in &durable {
-            if cell >= total {
-                return Err(format!(
-                    "durable cell {cell} out of range (matrix has {total})"
-                ));
-            }
-            durable_mask[cell] = true;
-        }
-        let mut cell_state = vec![CellState::Pending; total];
-        let mut pending = VecDeque::new();
-        for (cell, state) in cell_state.iter_mut().enumerate() {
-            if durable_mask[cell] {
-                *state = CellState::Done;
-            } else {
-                pending.push_back(cell);
-            }
-        }
-        let stats = DistStats {
-            resumed_cells: durable_mask.iter().filter(|&&d| d).count() as u64,
-            ..DistStats::default()
-        };
-
+        let table = LeaseTable::new(
+            cells.len(),
+            &opts.durable,
+            opts.epoch,
+            fingerprint,
+            &cfg,
+            opts.ckill_after,
+        )?;
         let shared = Shared {
-            state: Mutex::new(CoordState {
-                pending,
-                cell_state,
-                done_payloads: BTreeMap::new(),
-                emitted: 0,
-                next_lease: 0,
-                next_worker: 0,
-                connected: 0,
-                last_activity: Instant::now(),
-                all_emitted: total == 0,
-                journal,
-                ckill_after,
-                aborted: false,
-                fatal: None,
-                stats,
+            core: Mutex::new(Core {
+                table,
+                journal: opts.journal,
             }),
-            work_ready: Condvar::new(),
-            completed: Condvar::new(),
+            changed: Condvar::new(),
+            start: Instant::now(),
         };
         let poll = Duration::from_millis(cfg.io_poll_ms.max(1));
-        let mut emit_counts = vec![0u32; total];
-        let mut sink_emitted = 0u64;
         let addr = listener
             .local_addr()
             .map_err(|e| format!("coordinator listener has no address: {e}"))?;
 
         std::thread::scope(|scope| {
-            // Acceptor: blocks in accept, one handler thread per
-            // connection. The emitter wakes it with a self-connect once
-            // the run is done; that connection is dropped unserved.
+            // Acceptor: blocks in accept and asks the table before it
+            // spawns a handler. The emitter wakes it with a self-connect
+            // once the run is done; that connection is dropped unserved.
             scope.spawn(|| loop {
                 match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if shared.done() {
-                            break;
+                    Ok((mut stream, _peer)) => {
+                        let shared = &shared;
+                        match shared
+                            .with(|core, now| (!core.table.done()).then(|| core.table.connect(now)))
+                        {
+                            None => break,
+                            Some(Ok(conn)) => {
+                                scope.spawn(move || handle_worker(stream, shared, conn, poll));
+                            }
+                            Some(Err(busy)) => {
+                                let _ = stream.set_write_timeout(Some(poll * 20));
+                                let _ = send(&mut stream, &busy);
+                            }
                         }
-                        scope.spawn(|| {
-                            handle_worker(stream, &shared, total, &cfg, &fingerprint, epoch);
-                        });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     // Back off one poll slice and retry, unless the run
                     // ends meanwhile.
                     Err(_) => {
-                        if shared.wait_done(poll) {
+                        shared.wait(shared.lock(), poll);
+                        if shared.lock().table.done() {
                             break;
                         }
                     }
@@ -441,94 +267,41 @@ impl Coordinator {
 
             // This thread is the in-order emitter and the local-fallback
             // executor of last resort.
-            let grace = Duration::from_millis(cfg.grace_ms);
             loop {
-                let mut st = shared.lock();
-                if st.dead() {
-                    // Crashed (ckill) or a journal write failed: stop
-                    // emitting — a dead coordinator writes no artifact.
-                    drop(st);
-                    shared.work_ready.notify_all();
-                    shared.completed.notify_all();
-                    break;
-                }
-                loop {
-                    let next = st.emitted;
-                    if next >= total {
-                        break;
-                    }
-                    if durable_mask[next] {
-                        // Replayed from the journal last life: counts
-                        // toward in-order progress, never re-emitted.
-                        st.emitted += 1;
-                        emit_counts[next] += 1;
-                    } else if let Some(payload) = st.done_payloads.remove(&next) {
-                        st.emitted += 1;
-                        emit_counts[next] += 1;
-                        sink_emitted += 1;
-                        if cfg.progress {
-                            eprintln!("[{}/{total}] {}", next + 1, cells[next].label());
+                let mut core = shared.lock();
+                match core.table.tick(shared.now_ms()) {
+                    Tick::Emit(batch) => {
+                        drop(core);
+                        for (cell, payload) in batch {
+                            if cfg.progress {
+                                eprintln!("[{}/{}] {}", cell + 1, cells.len(), cells[cell].label());
+                            }
+                            sink(cell, &payload);
                         }
-                        sink(next, &payload);
-                    } else {
-                        break;
                     }
+                    Tick::Fallback(cell) => {
+                        drop(core);
+                        let payload =
+                            render_cell(&cells[cell], strategies, arc, cfg.timings, budget);
+                        shared.with(|core, now| {
+                            if core.table.fresh(cell) {
+                                core.settle(cell, payload, now);
+                            }
+                        });
+                    }
+                    Tick::Wait => shared.wait(core, poll.min(Duration::from_millis(50))),
+                    Tick::End => break,
                 }
-                if st.emitted == total {
-                    st.all_emitted = true;
-                    drop(st);
-                    shared.work_ready.notify_all();
-                    shared.completed.notify_all();
-                    break;
-                }
-                let deserted = st.connected == 0 && st.last_activity.elapsed() >= grace;
-                if deserted && !st.pending.is_empty() {
-                    // Degrade gracefully: no workers around — run the
-                    // next pending cell ourselves instead of hanging.
-                    let cell = st.pending.pop_front().expect("checked non-empty");
-                    st.cell_state[cell] = CellState::Leased;
-                    st.stats.local_fallback_cells += 1;
-                    drop(st);
-                    let payload = render_cell(&cells[cell], strategies, arc, cfg.timings, budget);
-                    shared.accept_result(cell, payload);
-                    continue;
-                }
-                let guard = shared
-                    .completed
-                    .wait_timeout(st, poll.min(Duration::from_millis(50)))
-                    .map(|(g, _)| g)
-                    .unwrap_or_else(|p| p.into_inner().0);
-                drop(guard);
             }
-            // Both exits above leave the run done: wake the acceptor.
+            // The run is done: wake the idle handlers and the acceptor.
+            shared.changed.notify_all();
             if let Err(e) = wake_listener(addr) {
                 eprintln!("cannot wake the coordinator's accept loop: {e}");
             }
         });
 
-        let st = shared.state.into_inner().unwrap_or_else(|p| p.into_inner());
-        let mut stats = st.stats;
-        if let Some(fatal) = st.fatal {
-            return Err(fatal);
-        }
-        if st.aborted {
-            return Err(format!(
-                "coordinator killed by ckill chaos after {} verified results \
-                 (crash simulation: journal retained, no artifact)",
-                stats.results_ok
-            ));
-        }
-        stats.cells_emitted = sink_emitted;
-        // The exactly-once invariant: the in-order emitter makes a
-        // violation structurally impossible, so this is a guard against
-        // future refactors, not a runtime hazard.
-        if st.emitted != total || emit_counts.iter().any(|&c| c != 1) {
-            return Err(format!(
-                "lease accounting violated: {}/{} cells emitted, counts {:?}",
-                st.emitted, total, emit_counts
-            ));
-        }
-        Ok(stats)
+        let core = shared.core.into_inner();
+        core.unwrap_or_else(PoisonError::into_inner).table.finish()
     }
 }
 
@@ -548,271 +321,54 @@ pub(super) fn render_cell(
     )
 }
 
-/// Serves one worker connection: registration, lease pipelining, result
-/// verification, deadline enforcement, drain-and-shutdown. `epoch` is
-/// this coordinator life's number — handed out in `welcome`, required
-/// on every `result` (stale-epoch results are dropped and counted, the
-/// connection stays up).
-fn handle_worker(
-    mut stream: TcpStream,
-    shared: &Shared,
-    total_cells: usize,
-    cfg: &DistConfig,
-    fingerprint: &str,
-    epoch: u64,
-) {
+/// Serves one connection: reads a frame under the deadline the table
+/// gives, feeds it in and writes what the table answers, until the
+/// table ends the connection.
+fn handle_worker(mut stream: TcpStream, shared: &Shared, conn: ConnId, poll: Duration) {
     let _ = stream.set_nodelay(true);
-    let poll = Duration::from_millis(cfg.io_poll_ms.max(1));
-    let write_timeout = Duration::from_millis(cfg.io_poll_ms.max(1) * 20);
-    let _ = stream.set_write_timeout(Some(write_timeout));
+    let _ = stream.set_write_timeout(Some(poll * 20));
     let mut reader = FrameReader::new();
-
-    // Registration.
-    let hello_deadline = Instant::now() + Duration::from_millis(HELLO_MS);
-    let hello = reader.read_line(&mut stream, hello_deadline, poll, || shared.done());
-    let (name, _worker_id) = match hello
-        .map_err(|e| format!("{e:?}"))
-        .and_then(|l| Frame::parse(&l).map_err(|e| format!("bad hello: {e}")))
-    {
-        Ok(Frame::Hello {
-            proto,
-            name,
-            fingerprint: theirs,
-        }) => {
-            if proto != PROTO_VERSION {
-                let _ = send(
-                    &mut stream,
-                    &Frame::Reject {
-                        reason: format!("protocol {proto} != {PROTO_VERSION}"),
-                    },
-                );
-                return;
-            }
-            if theirs != fingerprint {
-                let _ = send(
-                    &mut stream,
-                    &Frame::Reject {
-                        reason: "matrix fingerprint mismatch (different flags?)".to_string(),
-                    },
-                );
-                let mut st = shared.lock();
-                st.stats.workers_rejected += 1;
-                return;
-            }
-            let id = {
-                let mut st = shared.lock();
-                let id = st.next_worker;
-                st.next_worker += 1;
-                st.connected += 1;
-                st.stats.workers_registered += 1;
-                st.last_activity = Instant::now();
-                id
-            };
-            shared.completed.notify_all();
-            if send(
-                &mut stream,
-                &Frame::Welcome {
-                    proto: PROTO_VERSION,
-                    worker: id,
-                    epoch,
-                },
-            )
-            .is_err()
-            {
-                let mut st = shared.lock();
-                st.connected -= 1;
-                st.stats.workers_disconnected += 1;
-                return;
-            }
-            (name, id)
-        }
-        _ => return, // not a hello (or none arrived): drop silently
-    };
-    let _ = name;
-
-    let mut outstanding: Vec<ActiveLease> = Vec::new();
-    let lease_len = Duration::from_millis(cfg.lease_ms.max(1));
     // Keepalive cadence for lease-starved workers: a few poll slices,
     // capped well below any sane worker `idle_ms`.
-    let keepalive = Duration::from_millis((cfg.io_poll_ms.max(1) * 20).min(5_000));
+    let keepalive = (poll * 20).min(Duration::from_secs(5));
     let mut last_ping = Instant::now();
-
-    'serve: loop {
-        // Grant leases up to the pipeline depth.
-        let mut to_send = Vec::new();
-        {
-            let mut st = shared.lock();
-            if st.done() {
-                break 'serve;
-            }
-            while outstanding.len() + to_send.len() < PIPELINE {
-                let Some(cell) = st.pending.pop_front() else {
+    loop {
+        let mut core = shared.lock();
+        match core.table.step(conn, shared.now_ms()) {
+            Step::End => break,
+            Step::Send(frames) => {
+                drop(core);
+                if frames.iter().any(|f| send(&mut stream, f).is_err()) {
                     break;
-                };
-                let id = st.next_lease;
-                st.next_lease += 1;
-                st.cell_state[cell] = CellState::Leased;
-                st.stats.leases_granted += 1;
-                to_send.push(ActiveLease {
-                    id,
-                    cell,
-                    deadline: Instant::now() + lease_len,
+                }
+            }
+            Step::Read(deadline_ms) => {
+                drop(core);
+                let deadline = shared.start + Duration::from_millis(deadline_ms) + poll;
+                let got = reader.read_line(&mut stream, deadline, poll, || {
+                    shared.lock().table.abandons_read(conn)
+                });
+                shared.with(|core, now| {
+                    if let Some((cell, payload)) = core.table.input(conn, got, now) {
+                        core.settle(cell, payload, now);
+                    }
                 });
             }
-        }
-        // Every granted lease goes into `outstanding` before any send is
-        // attempted: if a send fails mid-batch, the unsent leases are in
-        // `outstanding` too, so the requeue below recovers all of them
-        // (a cell Leased but tracked nowhere would hang the run).
-        outstanding.extend(to_send.iter().copied());
-        for lease in to_send {
-            let frame = Frame::Lease {
-                lease: lease.id,
-                cell: lease.cell,
-                deadline_ms: cfg.lease_ms,
-            };
-            if send(&mut stream, &frame).is_err() {
-                shared.requeue(&mut outstanding);
-                break 'serve;
-            }
-        }
-
-        if outstanding.is_empty() {
-            // Nothing leased to us: wait for work (or the end).
-            let st = shared.lock();
-            if st.done() {
-                break 'serve;
-            }
-            if st.pending.is_empty() {
-                let guard = shared
-                    .work_ready
-                    .wait_timeout(st, poll)
-                    .map(|(g, _)| g)
-                    .unwrap_or_else(|p| p.into_inner().0);
-                drop(guard);
-                // Keepalive: a worker starved of leases (every cell
-                // leased to someone else) must not trip its own idle
-                // guard and reconnect-loop.
+            Step::Idle => {
+                shared.wait(core, poll);
+                // A worker starved of leases (every cell leased to
+                // someone else) must not trip its own idle guard and
+                // reconnect-loop.
                 if last_ping.elapsed() >= keepalive {
                     last_ping = Instant::now();
                     if send(&mut stream, &Frame::Ping).is_err() {
-                        break 'serve; // nothing outstanding to requeue
+                        break;
                     }
                 }
-            }
-            continue 'serve;
-        }
-
-        // Wait for a result until the earliest lease deadline.
-        let deadline = outstanding
-            .iter()
-            .map(|l| l.deadline)
-            .min()
-            .expect("non-empty outstanding")
-            + poll;
-        match reader.read_line(&mut stream, deadline, poll, || shared.done()) {
-            Ok(line) => match Frame::parse(&line) {
-                Ok(Frame::Result {
-                    lease,
-                    cell,
-                    epoch: result_epoch,
-                    crc,
-                    payload,
-                }) => {
-                    if cell >= total_cells || crc != checksum(&payload) {
-                        // Corrupt or impossible: this connection's stream
-                        // can no longer be trusted.
-                        let mut st = shared.lock();
-                        st.stats.results_rejected += 1;
-                        drop(st);
-                        shared.requeue(&mut outstanding);
-                        break 'serve;
-                    }
-                    if result_epoch != epoch {
-                        // A lease from a previous coordinator life: that
-                        // cell's fate was already settled by the journal
-                        // replay, so the result is dropped — counted,
-                        // never double-emitted. The connection itself is
-                        // fine (it re-registered against *this* life).
-                        let mut st = shared.lock();
-                        st.stats.stale_results += 1;
-                        continue 'serve;
-                    }
-                    outstanding.retain(|l| l.id != lease);
-                    shared.accept_result(cell, payload);
-                }
-                Ok(Frame::Bye) => {
-                    shared.requeue(&mut outstanding);
-                    break 'serve;
-                }
-                Ok(_) | Err(_) => {
-                    // Malformed line or a frame no worker should send.
-                    let mut st = shared.lock();
-                    st.stats.results_rejected += 1;
-                    drop(st);
-                    shared.requeue(&mut outstanding);
-                    break 'serve;
-                }
-            },
-            Err(RecvError::Timeout) => {
-                if shared.done() {
-                    break 'serve;
-                }
-                let now = Instant::now();
-                let overdue = outstanding.iter().filter(|l| now >= l.deadline).count();
-                if overdue > 0 {
-                    // Deadline missed: the worker is hung or too slow —
-                    // re-queue everything and drop the connection (it
-                    // may reconnect with fresh leases).
-                    let mut st = shared.lock();
-                    st.stats.leases_expired += overdue as u64;
-                    drop(st);
-                    shared.requeue(&mut outstanding);
-                    break 'serve;
-                }
-            }
-            Err(RecvError::Closed) | Err(RecvError::Io(_)) => {
-                shared.requeue(&mut outstanding);
-                break 'serve;
             }
         }
     }
-
-    // Wind-down. If the run *completed*, tell the worker to exit and
-    // give it a bounded window to drain in-flight results and say bye —
-    // that is what keeps CI teardown free of orphaned worker processes.
-    // A ckill'd (crashed) coordinator sends nothing: its workers see the
-    // connection die, exactly as a SIGKILL would leave them.
-    shared.requeue(&mut outstanding);
-    if shared.completed_ok() && send(&mut stream, &Frame::Shutdown).is_ok() {
-        // The drain window is bounded well below the lease deadline: by
-        // now every drained result is a duplicate anyway, so a hung
-        // worker must not stall the artifact write for a full lease.
-        let drain_deadline = Instant::now() + lease_len.min(Duration::from_secs(2));
-        while let Ok(line) = reader.read_line(&mut stream, drain_deadline, poll, || false) {
-            match Frame::parse(&line) {
-                Ok(Frame::Bye) => break,
-                Ok(Frame::Result {
-                    cell,
-                    epoch: result_epoch,
-                    crc,
-                    payload,
-                    ..
-                }) if cell < total_cells && result_epoch == epoch && crc == checksum(&payload) => {
-                    // A drained in-flight cell; almost always a
-                    // duplicate by now, but verified is verified.
-                    shared.accept_result(cell, payload);
-                }
-                _ => break,
-            }
-        }
-    }
-    let mut st = shared.lock();
-    st.connected -= 1;
-    st.stats.workers_disconnected += 1;
-    drop(st);
-    shared.work_ready.notify_all();
-    shared.completed.notify_all();
+    shared.with(|core, _| core.table.disconnect(conn));
 }
 
 /// Writes one frame (write timeout set at connection setup).

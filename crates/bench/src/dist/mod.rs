@@ -11,10 +11,10 @@
 //!
 //! The paper's premise — transient faults are survived by re-execution
 //! — applied to the harness itself: [`chaos`] injects seeded kill /
-//! hang / corrupt / duplicate faults into [`worker`] loops, and the
-//! integration suite asserts the artifact is unchanged under every
-//! schedule. See the README's *Distributed execution* section for the
-//! protocol sketch and the chaos how-to.
+//! hang / corrupt / duplicate faults into [`worker`] loops, and a seeded
+//! simulator of the coordinator's lease table checks the artifact under
+//! every schedule. See the README's *Distributed execution* section for
+//! the protocol sketch and the chaos how-to.
 //!
 //! Everything here is std-only (`TcpListener`/`TcpStream` plus the
 //! existing hand-rendered JSON), per the workspace's offline-deps
@@ -23,6 +23,7 @@
 pub mod chaos;
 pub mod coordinator;
 pub mod journal;
+mod lease;
 pub mod protocol;
 pub mod worker;
 
@@ -85,7 +86,7 @@ pub struct DistStats {
     pub workers_registered: u64,
     /// Worker connections that ended (gracefully or not).
     pub workers_disconnected: u64,
-    /// Registrations refused (fingerprint/protocol mismatch).
+    /// Connections refused (fingerprint/protocol mismatch, or busy).
     pub workers_rejected: u64,
     /// Leases granted off the cursor.
     pub leases_granted: u64,

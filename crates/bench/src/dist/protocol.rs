@@ -522,11 +522,6 @@ impl FrameReader {
     /// without touching the socket — how the worker drains leases that
     /// arrived behind a `shutdown` frame.
     pub fn buffered_line(&mut self) -> Option<String> {
-        self.pop_line()
-    }
-
-    /// Pops the first buffered complete line, if any.
-    fn pop_line(&mut self) -> Option<String> {
         let nl = self.buf[self.scanned..]
             .iter()
             .position(|&b| b == b'\n')
@@ -563,7 +558,7 @@ impl FrameReader {
         mut stop: impl FnMut() -> bool,
     ) -> Result<String, RecvError> {
         loop {
-            if let Some(line) = self.pop_line() {
+            if let Some(line) = self.buffered_line() {
                 return Ok(line);
             }
             if stop() || Instant::now() >= deadline {

@@ -202,7 +202,7 @@ pub fn run_worker(
             }
         };
         report.connects += 1;
-        match serve(
+        report.outcome = match serve(
             stream,
             cells,
             strategies,
@@ -212,18 +212,9 @@ pub fn run_worker(
             &mut chaos,
             &mut report,
         ) {
-            ServeEnd::Shutdown => {
-                report.outcome = WorkerOutcome::Shutdown;
-                return report;
-            }
-            ServeEnd::Killed => {
-                report.outcome = WorkerOutcome::Killed;
-                return report;
-            }
-            ServeEnd::Rejected(reason) => {
-                report.outcome = WorkerOutcome::Rejected(reason);
-                return report;
-            }
+            ServeEnd::Shutdown => WorkerOutcome::Shutdown,
+            ServeEnd::Killed => WorkerOutcome::Killed,
+            ServeEnd::Rejected(reason) => WorkerOutcome::Rejected(reason),
             ServeEnd::Lost { registered } => {
                 if registered {
                     // Registration succeeded: restart the backoff
@@ -237,8 +228,10 @@ pub fn run_worker(
                     return report;
                 }
                 std::thread::sleep(backoff.next_delay());
+                continue;
             }
-        }
+        };
+        return report;
     }
 }
 
@@ -298,144 +291,78 @@ fn serve(
         _ => return ServeEnd::Lost { registered: false },
     };
 
+    let mut draining = false;
     loop {
-        let idle_deadline = Instant::now() + Duration::from_millis(cfg.idle_ms);
-        match read_frame(&mut reader, &mut stream, idle_deadline, poll) {
+        let next = if draining {
+            let Some(line) = reader.buffered_line() else {
+                let _ = send(&mut stream, &Frame::Bye);
+                return ServeEnd::Shutdown;
+            };
+            Frame::parse(&line).map_err(RecvError::Io)
+        } else {
+            let idle_deadline = Instant::now() + Duration::from_millis(cfg.idle_ms);
+            read_frame(&mut reader, &mut stream, idle_deadline, poll)
+        };
+        let (lease, cell, deadline_ms) = match next {
             Ok(Frame::Lease {
                 lease,
                 cell,
                 deadline_ms,
-            }) => {
-                match serve_lease(
-                    &mut stream,
-                    cells,
-                    strategies,
-                    arc,
-                    cfg,
-                    chaos,
-                    report,
-                    lease,
-                    cell,
-                    deadline_ms,
-                    epoch,
-                ) {
-                    LeaseEnd::Ok => {}
-                    LeaseEnd::Killed => return ServeEnd::Killed,
-                    LeaseEnd::Lost => return ServeEnd::Lost { registered: true },
-                }
-            }
-            Ok(Frame::Ping) => {
-                // Keepalive from a lease-starved coordinator: the loop
-                // recomputes the idle deadline, nothing else to do.
-            }
+            }) => (lease, cell, deadline_ms),
+            // A keepalive from a lease-starved coordinator: the loop
+            // recomputes the idle deadline, nothing else to do.
+            Ok(Frame::Ping) => continue,
             Ok(Frame::Shutdown) => {
-                // Drain: leases already queued behind the shutdown frame
-                // in the read buffer still get computed and reported.
-                while let Some(line) = reader.buffered_line() {
-                    if let Ok(Frame::Lease {
-                        lease,
-                        cell,
-                        deadline_ms,
-                    }) = Frame::parse(&line)
-                    {
-                        match serve_lease(
-                            &mut stream,
-                            cells,
-                            strategies,
-                            arc,
-                            cfg,
-                            chaos,
-                            report,
-                            lease,
-                            cell,
-                            deadline_ms,
-                            epoch,
-                        ) {
-                            LeaseEnd::Ok => {}
-                            LeaseEnd::Killed => return ServeEnd::Killed,
-                            LeaseEnd::Lost => return ServeEnd::Lost { registered: true },
-                        }
-                    }
-                }
-                let _ = send(&mut stream, &Frame::Bye);
-                return ServeEnd::Shutdown;
+                draining = true;
+                continue;
             }
-            Ok(_) | Err(RecvError::Timeout) | Err(RecvError::Closed) | Err(RecvError::Io(_)) => {
-                // Unexpected frame, idle too long, or transport gone:
-                // drop the connection and let the backoff loop decide.
-                return ServeEnd::Lost { registered: true };
+            // The drain computes leases and skips anything else.
+            _ if draining => continue,
+            // Unexpected frame, idle too long, or transport gone: drop
+            // the connection and let the backoff loop decide.
+            _ => return ServeEnd::Lost { registered: true },
+        };
+        if cell >= cells.len() {
+            // A lease outside the matrix: the two sides disagree after
+            // all — drop the connection rather than compute garbage.
+            return ServeEnd::Lost { registered: true };
+        }
+        // Any scheduled chaos fault strikes here, where a real one would.
+        let action = chaos.next_action();
+        report.chaos_fired += u64::from(action.is_some());
+        match action {
+            // Simulated crash mid-cell: the lease dies with us.
+            Some(ChaosAction::Kill) => return ServeEnd::Killed,
+            // Stall past the lease deadline, then proceed: the
+            // coordinator will have expired the lease; the stale send
+            // exercises the late/duplicate path (and usually finds the
+            // socket closed).
+            Some(ChaosAction::Hang) => {
+                std::thread::sleep(Duration::from_millis(deadline_ms.saturating_add(250)));
             }
+            _ => {}
         }
-    }
-}
-
-/// How serving one lease ended.
-enum LeaseEnd {
-    Ok,
-    Killed,
-    Lost,
-}
-
-/// Computes one leased cell and sends the result, applying any scheduled
-/// chaos fault at the exact point a real fault would strike.
-#[allow(clippy::too_many_arguments)]
-fn serve_lease(
-    stream: &mut TcpStream,
-    cells: &[Scenario],
-    strategies: &[Strategy],
-    arc: Cost,
-    cfg: &WorkerConfig,
-    chaos: &mut ChaosState,
-    report: &mut WorkerReport,
-    lease: u64,
-    cell: usize,
-    deadline_ms: u64,
-    epoch: u64,
-) -> LeaseEnd {
-    if cell >= cells.len() {
-        // A lease outside the matrix: the two sides disagree after all —
-        // drop the connection rather than compute garbage.
-        return LeaseEnd::Lost;
-    }
-    let action = chaos.next_action();
-    if action.is_some() {
-        report.chaos_fired += 1;
-    }
-    if action == Some(ChaosAction::Kill) {
-        // Simulated crash mid-cell: the lease dies with us.
-        return LeaseEnd::Killed;
-    }
-    if action == Some(ChaosAction::Hang) {
-        // Stall past the lease deadline, then proceed: the coordinator
-        // will have expired the lease; the stale send exercises the
-        // late/duplicate path (and usually finds the socket closed).
-        std::thread::sleep(Duration::from_millis(deadline_ms.saturating_add(250)));
-    }
-    let payload =
-        super::coordinator::render_cell(&cells[cell], strategies, arc, cfg.timings, cfg.budget);
-    let frame = Frame::Result {
-        lease,
-        cell,
-        epoch,
-        crc: checksum(&payload),
-        payload,
-    };
-    let wire = match action {
-        Some(a @ (ChaosAction::CorruptFlip | ChaosAction::CorruptTruncate)) => {
-            corrupt_frame(a, &frame.render(), chaos)
+        let payload =
+            super::coordinator::render_cell(&cells[cell], strategies, arc, cfg.timings, cfg.budget);
+        let frame = Frame::Result {
+            lease,
+            cell,
+            epoch,
+            crc: checksum(&payload),
+            payload,
         }
-        Some(ChaosAction::Duplicate) => {
-            let once = frame.render();
-            format!("{once}{once}")
+        .render();
+        let wire = match action {
+            Some(a @ (ChaosAction::CorruptFlip | ChaosAction::CorruptTruncate)) => {
+                corrupt_frame(a, &frame, chaos)
+            }
+            Some(ChaosAction::Duplicate) => format!("{frame}{frame}"),
+            _ => frame,
+        };
+        if send_raw(&mut stream, &wire).is_err() {
+            return ServeEnd::Lost { registered: true };
         }
-        _ => frame.render(),
-    };
-    match send_raw(stream, &wire) {
-        Ok(()) => {
-            report.cells_completed += 1;
-            LeaseEnd::Ok
-        }
-        Err(_) => LeaseEnd::Lost,
+        report.cells_completed += 1;
     }
 }
 
